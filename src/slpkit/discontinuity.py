@@ -17,10 +17,10 @@ import warnings
 from dataclasses import dataclass
 
 from .charts import (
+    CHART_IDS,
     Separated,
     c_point_matrix,
     canonical_form,
-    covering_charts,
     normalize_to_chart,
     row_span_distance,
 )
@@ -57,11 +57,12 @@ class ChartTest:
 def _chart_tests(bc: BoundaryCondition, f0: float) -> dict:
     inv_f0 = 1.0 / f0
     out = {}
-    for chart in covering_charts(bc):
+    for chart in CHART_IDS:
         try:
             coords = normalize_to_chart(bc, chart).coords
         except NotInChart:
-            # marginally invertible pivot block: coordinates unreliable
+            # chart does not cover bc, or its pivot block is so marginally
+            # invertible that the coordinates are unreliable
             continue
         r1, zr, zi, r2 = coords
         zsq = zr * zr + zi * zi
@@ -91,8 +92,9 @@ def _chart_tests(bc: BoundaryCondition, f0: float) -> dict:
 
 
 def chart_signed_residuals(problem: Problem) -> dict:
-    """Signed distance functions, one per covering chart, whose zero
-    crossings locate the discontinuity sets along continuous families."""
+    """Signed distance functions, one per covering chart in ``CHART_IDS``
+    order, whose zero crossings locate the discontinuity sets along
+    continuous families."""
     tests = _chart_tests(problem.bc, problem.equation.f[0])
     return {chart: t.residual for chart, t in tests.items()}
 
@@ -199,34 +201,24 @@ def _cone_label(test: ChartTest) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class BCSideClassification:
-    """Memberships of a boundary condition relative to the sets cut out on
-    the manifold by a fixed equation."""
-
-    sets: frozenset
-    sides: dict
-    xi: float
-    distances: dict
-
-
-def classify_bc_side(eq_fixed: Equation, bc: BoundaryCondition) -> BCSideClassification:
-    """Evaluate every chart equality for ``bc`` against the fixed equation,
-    plus the separated/coupled canonical-form criteria."""
-    f0 = eq_fixed.f[0]
-    inv_f0 = 1.0 / f0
+def _chart_memberships(bc: BoundaryCondition, f0: float, prefix: str, c_key: str, c_set: str):
+    """The verdicts shared by the bc-side and product classifications:
+    distance ``c_key`` to the C point (set ``c_set`` on it), and for every
+    chart equality its |residual|, side, and set ``prefix`` + chart digits
+    (plus the cone letter on a rank-one set away from the C point).
+    Returns fresh (sets, sides, distances)."""
     sets: set = set()
     sides: dict = {}
     dists: dict = {}
 
-    c_dist = row_span_distance(bc.matrix, c_point_matrix(inv_f0))
+    c_dist = row_span_distance(bc.matrix, c_point_matrix(1.0 / f0))
     on_c = c_dist <= TOL.set_membership
-    dists["C"] = c_dist
+    dists[c_key] = c_dist
     if on_c:
-        sets.add("C_point")
+        sets.add(c_set)
 
     for chart, test in _chart_tests(bc, f0).items():
-        name = "B" + chart[1:]
+        name = prefix + chart[1:]
         dists[name] = abs(test.residual)
         if abs(test.residual) <= test.tol:
             sets.add(name)
@@ -242,6 +234,25 @@ def classify_bc_side(eq_fixed: Equation, bc: BoundaryCondition) -> BCSideClassif
                 sides[chart] = "plus"
         else:
             sides[chart] = "minus"
+    return sets, sides, dists
+
+
+@dataclass(frozen=True)
+class BCSideClassification:
+    """Memberships of a boundary condition relative to the sets cut out on
+    the manifold by a fixed equation."""
+
+    sets: frozenset
+    sides: dict
+    xi: float
+    distances: dict
+
+
+def classify_bc_side(eq_fixed: Equation, bc: BoundaryCondition) -> BCSideClassification:
+    """Evaluate every chart equality for ``bc`` against the fixed equation,
+    plus the separated/coupled canonical-form criteria."""
+    f0 = eq_fixed.f[0]
+    sets, sides, dists = _chart_memberships(bc, f0, "B", "C", "C_point")
 
     xi = xi_of(f0)
     cf = canonical_form(bc)
@@ -288,35 +299,9 @@ def classify_product(problem: Problem) -> ProductSideClassification:
     from the problem's own equation; membership is equivalent to the
     vanishing of the leading coefficient of the characteristic polynomial.
     """
-    f0 = problem.equation.f[0]
-    inv_f0 = 1.0 / f0
-    sets: set = set()
-    sides: dict = {}
-    dists: dict = {}
-
-    c_dist = row_span_distance(problem.bc.matrix, c_point_matrix(inv_f0))
-    on_c = c_dist <= TOL.set_membership
-    dists["P5"] = c_dist
-    if on_c:
-        sets.add("P5")
-
-    for chart, test in _chart_tests(problem.bc, f0).items():
-        name = "P" + chart[1:]
-        dists[name] = abs(test.residual)
-        if abs(test.residual) <= test.tol:
-            sets.add(name)
-            sides[chart] = "on"
-            if test.p is not None and not on_c:
-                cone = _cone_label(test)
-                if cone:
-                    sets.add(name + cone)
-        elif test.residual > 0:
-            if test.p is not None:
-                sides[chart] = "plus_r" if test.p > 0 else "plus_l"
-            else:
-                sides[chart] = "plus"
-        else:
-            sides[chart] = "minus"
+    sets, sides, dists = _chart_memberships(
+        problem.bc, problem.equation.f[0], "P", "P5", "P5"
+    )
 
     member = bool(sets & {"P14", "P24", "P13", "P23"})
     return ProductSideClassification(frozenset(sets), sides, dists, member)

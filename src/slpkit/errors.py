@@ -84,17 +84,6 @@ class FamilyNotAxisAligned(SLPError):
     pass
 
 
-class Unclassified(SLPError):
-    """A branch limit matches neither the divergence nor the convergence
-    criterion.  Kept as a marker type; jump classification reports these
-    instead of guessing."""
-
-    def __init__(self, index: int, side: str):
-        self.index = index
-        self.side = side
-        super().__init__(f"branch {index} on the {side} side is unclassified")
-
-
 class PatternMismatch(SLPError):
     def __init__(self, table):
         self.table = table

@@ -16,7 +16,7 @@ All types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -93,6 +93,7 @@ class BoundaryCondition:
     condition; construction validates rank and self-adjointness."""
 
     matrix: np.ndarray
+    _scale: float = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -112,6 +113,7 @@ class BoundaryCondition:
             raise NotSelfAdjoint(rel)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "_scale", float(s[0]))
 
     @property
     def A(self) -> np.ndarray:
@@ -124,7 +126,7 @@ class BoundaryCondition:
     @property
     def scale(self) -> float:
         """Largest singular value of the stored representative."""
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
+        return self._scale
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,25 +53,19 @@ def gamma_value(problem: Problem, lam: float) -> complex:
     )
 
 
-def interpolation_radius(eq: Equation) -> float:
-    """Half-width of the sampling interval.
-
-    Coefficient recovery needs no root enclosure (a degree-N polynomial is
-    determined exactly by N+1 samples anywhere); what matters is the error
-    amplification eps * max|value| / R^k when mapping fitted coefficients
-    back to the power basis, which is minimized on an interval of unit
-    scale.  Enclosure-sized intervals lose ~R^N in the low-order
-    coefficients and were measured to break the cross-check entirely for
-    spread-out spectra."""
-    return 1.0
-
-
 def gamma_by_interpolation(problem: Problem) -> Polynomial:
     """Recover the characteristic polynomial's coefficients from N+1
     Chebyshev samples of :func:`gamma_value`, then verify the fit at
     2(N+1) fresh points (IllConditioned on failure)."""
     n = problem.equation.N
-    radius = interpolation_radius(problem.equation)
+    # Coefficient recovery needs no root enclosure (a degree-N polynomial
+    # is determined exactly by N+1 samples anywhere); what matters is the
+    # error amplification eps * max|value| / R^k when mapping fitted
+    # coefficients back to the power basis, which is minimized on an
+    # interval of unit half-width R.  Enclosure-sized intervals lose ~R^N in
+    # the low-order coefficients and were measured to break the cross-check
+    # entirely for spread-out spectra.
+    radius = 1.0
     nodes = np.cos(np.pi * (2 * np.arange(n + 1) + 1) / (2 * (n + 1)))
     samples = np.array([gamma_value(problem, radius * t) for t in nodes])
     cheb_coeffs = ncheb.chebfit(nodes, samples, n)

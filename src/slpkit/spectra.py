@@ -358,10 +358,10 @@ def eigenvalues(problem: Problem) -> Spectrum:
     The characteristic polynomial is trimmed to its numerical degree, which
     must agree with the rank-based count (DegreeMismatch otherwise --- the
     problem sits in the tolerance gap next to a discontinuity set); all its
-    roots are found simultaneously, checked to be real, and clustered into
-    multiplicities.  A leading coefficient that survives trimming but is
-    relatively tiny flags the spectrum as near-singular: one root is about
-    to escape to infinity.
+    roots are found simultaneously, checked to be finite and real
+    (NonRealRoot otherwise), and clustered into multiplicities.  A leading
+    coefficient that survives trimming but is relatively tiny flags the
+    spectrum as near-singular: one root is about to escape to infinity.
     """
     eq = problem.equation
     gamma = char_poly(problem)
@@ -377,7 +377,8 @@ def eigenvalues(problem: Problem) -> Spectrum:
     )
     roots = _aberth_roots(coeffs[: degree + 1])
     for root in roots:
-        if abs(root.imag) > TOL.real_root * (1.0 + abs(root.real)):
+        # a NaN imaginary part would pass the size test silently
+        if not np.isfinite(root) or abs(root.imag) > TOL.real_root * (1.0 + abs(root.real)):
             raise NonRealRoot(complex(root))
     pairs = _cluster_real_roots(roots.real)
     dgamma = gamma.derivative()

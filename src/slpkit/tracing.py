@@ -229,32 +229,38 @@ def _spectrum_or_none(problem: Problem) -> Spectrum | None:
         return None
 
 
-def _residual_data(family: Family, nu: float):
-    """(residuals, tols, cones) per covering chart at one parameter;
-    no spectrum is computed."""
-    prob = family.resolve(nu)
-    tests = _chart_tests(prob.bc, prob.equation.f[0])
-    residuals = {c: t.residual for c, t in tests.items()}
-    tols = {c: t.tol for c, t in tests.items()}
-    cones = {
-        c: (t.p, t.r2, t.p_tol, t.r2_tol)
-        for c, t in tests.items()
-        if t.p is not None
-    }
-    return residuals, tols, cones
+@dataclass(frozen=True)
+class _Point:
+    """One evaluation of a family: the resolved problem and its chart tests
+    by chart id.  Every detector reads the same record, so a parameter is
+    resolved once; its spectrum is solved where a count is needed."""
+
+    problem: Problem
+    tests: dict
 
 
-def _point_data(family: Family, nu: float):
-    """(spectrum-or-None, (residuals, tols), cones) at one parameter;
-    (None, ({}, {}), {}) when the family is unresolvable at a flagged point."""
+def _test_value(point: _Point | None, chart: str, coord: str) -> float | None:
+    """Field ``coord`` of a chart's test (``residual``, or the cone
+    coordinates ``p`` and ``r2``); None where the family is unresolvable or
+    the chart does not cover the problem."""
+    test = point.tests.get(chart) if point is not None else None
+    return getattr(test, coord) if test is not None else None
+
+
+def _evaluate(family: Family, nu: float) -> _Point:
+    problem = family.resolve(nu)
+    return _Point(problem, _chart_tests(problem.bc, problem.equation.f[0]))
+
+
+def _grid_point(family: Family, nu: float) -> _Point | None:
+    """The point at a grid parameter; None where the family is unresolvable
+    at one of its flagged parameters."""
     try:
-        residuals, tols, cones = _residual_data(family, nu)
-        prob = family.resolve(nu)
+        return _evaluate(family, nu)
     except UnresolvableFamily:
         if any(abs(nu - fl) <= 1e-9 * max(1.0, abs(nu)) for fl in family.flagged):
-            return None, ({}, {}), {}
+            return None
         raise
-    return _spectrum_or_none(prob), (residuals, tols), cones
 
 
 def _bisect_zero(fn, lo, hi, f_lo, f_hi):
@@ -315,23 +321,21 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
         raise ValueError("grid_size must be at least 16")
     grid = _grid_points(family, grid_size)
     span = family.span
-    points = [_point_data(family, nu) for nu in grid]
-    counts = np.array(
-        [p[0].predicted_count if p[0] is not None else -1 for p in points]
-    )
-    near = np.array(
-        [bool(p[0].near_singular) if p[0] is not None else True for p in points]
-    )
+
+    points = [_grid_point(family, nu) for nu in grid]
+    spectra = [_spectrum_or_none(p.problem) if p is not None else None for p in points]
+    counts = np.array([s.predicted_count if s is not None else -1 for s in spectra])
+    near = np.array([bool(s.near_singular) if s is not None else True for s in spectra])
 
     k_max = max(int(counts.max(initial=0)), 0)
     values = np.full((k_max, grid_size), np.nan)
-    for i, (spec, _, _) in enumerate(points):
+    for i, spec in enumerate(spectra):
         if spec is None:
             continue
         vals = spec.values()
         values[: len(vals), i] = vals
 
-    candidates: list[SingularEvent] = []
+    candidates: list[SingularEvent | None] = []  # None: refinement rejected it
 
     def neighbor_counts(i):
         left = counts[i - 1] if i > 0 else None
@@ -355,36 +359,16 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
                 SingularEvent(float(grid[i]), (float(grid[i]), float(grid[i])), "grid", int(counts[i]), cl, cr)
             )
 
-    def residual_at(chart):
-        def fn(nu):
-            try:
-                res, _, _ = _residual_data(family, nu)
-            except UnresolvableFamily:
-                return None
-            return res.get(chart)
-        return fn
-
-    def cone_at(chart, which):
-        def fn(nu):
-            try:
-                _, _, cones = _residual_data(family, nu)
-            except UnresolvableFamily:
-                return None
-            got = cones.get(chart)
-            return got[which] if got is not None else None
-        return fn
-
-    def verified_event(nu, bracket, kind, count_left=None, count_right=None,
+    def verified_event(point, nu, bracket, kind, count_left=None, count_right=None,
                        residual_collapsed=False):
         """Accept a refined candidate only if the problem there actually
         degenerates.  A candidate whose spectrum cannot be evaluated at all
         additionally needs its residual to have collapsed: a sign flip
         through a pole (chart boundary, or f_0 passing through infinity)
         leaves the residual huge and is discarded."""
-        try:
-            spec, _, _ = _point_data(family, nu)
-        except UnresolvableFamily:
+        if point is None:
             return None
+        spec = _spectrum_or_none(point.problem)
         i_near = int(np.argmin(np.abs(grid - nu)))
         ref = counts[i_near] if counts[i_near] >= 0 else None
         cl = count_left if count_left is not None else ref
@@ -397,14 +381,37 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             return SingularEvent(nu, bracket, kind, int(spec.predicted_count), cl, cr)
         return None
 
-    charts_seen = sorted({c for _, (res, _), _ in points for c in res})
+    def point_at(nu) -> _Point | None:
+        """The point at a refinement parameter; None where unresolvable."""
+        try:
+            return _evaluate(family, nu)
+        except UnresolvableFamily:
+            return None
+
+    def refined_sign_change(chart, coord, i, v_lo, v_hi, kind, count_left=None,
+                            count_right=None):
+        """Bisect a sign change of one chart-test field between grid[i] and
+        grid[i + 1], discard a flip through a pole, verify the zero."""
+        lo, hi = _bisect_zero(
+            lambda nu: _test_value(point_at(nu), chart, coord),
+            grid[i], grid[i + 1], v_lo, v_hi,
+        )
+        nu0 = float(0.5 * (lo + hi))
+        point = point_at(nu0)
+        v_mid = _test_value(point, chart, coord)
+        if v_mid is not None and abs(v_mid) > min(abs(v_lo), abs(v_hi)):
+            return None  # the sign flipped through a pole, not a zero
+        return verified_event(
+            point, nu0, (float(lo), float(hi)), kind, count_left, count_right,
+            residual_collapsed=v_mid is not None
+            and abs(v_mid) <= 1e-6 * max(abs(v_lo), abs(v_hi)),
+        )
+
+    charts_seen = sorted({c for p in points if p is not None for c in p.tests})
     for chart in charts_seen:
-        res = np.array(
-            [p[1][0].get(chart, np.nan) for p in points]
-        )
-        tols = np.array(
-            [p[1][1].get(chart, np.nan) for p in points]
-        )
+        tests = [p.tests.get(chart) if p is not None else None for p in points]
+        res = np.array([t.residual if t is not None else np.nan for t in tests])
+        tols = np.array([t.tol if t is not None else np.nan for t in tests])
         live = ~np.isnan(res)
         on_set = live & (np.abs(res) <= tols)
         # transversal crossings: a genuine sign change between two points
@@ -415,21 +422,15 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             if on_set[i] or on_set[i + 1]:
                 continue
             if (res[i] > 0) != (res[i + 1] > 0):
-                fn = residual_at(chart)
-                lo, hi = _bisect_zero(fn, grid[i], grid[i + 1], res[i], res[i + 1])
-                nu0 = float(0.5 * (lo + hi))
-                r_mid = fn(nu0)
-                if r_mid is not None and abs(r_mid) > min(abs(res[i]), abs(res[i + 1])):
-                    continue  # the sign flipped through a pole, not a zero
-                ev = verified_event(
-                    nu0, (float(lo), float(hi)), "crossing",
+                candidates.append(refined_sign_change(
+                    chart, "residual", i, res[i], res[i + 1], "crossing",
                     int(counts[i]), int(counts[i + 1]),
-                    residual_collapsed=r_mid is not None
-                    and abs(r_mid) <= 1e-6 * max(abs(res[i]), abs(res[i + 1])),
-                )
-                if ev is not None:
-                    candidates.append(ev)
+                ))
         # tangential touches: refine interior dips of |residual| and verify
+        def abs_residual(point):
+            value = _test_value(point, chart, "residual")
+            return abs(value) if value is not None else float("inf")
+
         for i in range(1, grid_size - 1):
             if not (live[i - 1] and live[i] and live[i + 1]):
                 continue
@@ -439,54 +440,35 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             # a symmetric touch can split its dip over two equal grid
             # values; break the tie toward the left point
             if trio[1] < trio[0] and trio[1] <= trio[2]:
-                fn = residual_at(chart)
-
-                def absfn(nu, fn=fn):
-                    value = fn(nu)
-                    return abs(value) if value is not None else float("inf")
-
-                nu0 = _golden_min(absfn, grid[i - 1], grid[i + 1])
+                nu0 = float(_golden_min(
+                    lambda nu: abs_residual(point_at(nu)), grid[i - 1], grid[i + 1]
+                ))
+                point = point_at(nu0)
                 # the minimizer is located to machine width and verified
-                ev = verified_event(
-                    float(nu0), (float(nu0), float(nu0)), "dip",
-                    residual_collapsed=absfn(float(nu0))
-                    <= 1e-6 * max(trio[0], trio[2]),
-                )
-                if ev is not None:
-                    candidates.append(ev)
+                candidates.append(verified_event(
+                    point, nu0, (nu0, nu0), "dip",
+                    residual_collapsed=abs_residual(point) <= 1e-6 * max(trio[0], trio[2]),
+                ))
         # stretches inside a rank-one set: a double degeneracy announces
         # itself by a sign change of a cone coordinate
         if chart not in ("O13", "O23"):
             continue
-        cone_vals = [p[2].get(chart) for p in points]
-        for which in (0, 1):
+        for coord, coord_tol in (("p", "p_tol"), ("r2", "r2_tol")):
             for i in range(grid_size - 1):
-                ci, cj = cone_vals[i], cone_vals[i + 1]
-                if ci is None or cj is None:
+                ti, tj = tests[i], tests[i + 1]
+                if ti is None or tj is None:
                     continue
                 if not (on_set[i] and on_set[i + 1]):
                     continue
-                vi, vj = ci[which], cj[which]
-                ti, tj = ci[which + 2], cj[which + 2]
-                if abs(vi) <= ti or abs(vj) <= tj:
+                vi, vj = getattr(ti, coord), getattr(tj, coord)
+                if abs(vi) <= getattr(ti, coord_tol) or abs(vj) <= getattr(tj, coord_tol):
                     continue
                 if (vi > 0) != (vj > 0):
-                    fn = cone_at(chart, which)
-                    lo, hi = _bisect_zero(fn, grid[i], grid[i + 1], vi, vj)
-                    nu0 = float(0.5 * (lo + hi))
-                    v_mid = fn(nu0)
-                    if v_mid is not None and abs(v_mid) > min(abs(vi), abs(vj)):
-                        continue
-                    ev = verified_event(
-                        nu0, (float(lo), float(hi)), "cone",
-                        residual_collapsed=v_mid is not None
-                        and abs(v_mid) <= 1e-6 * max(abs(vi), abs(vj)),
-                    )
-                    if ev is not None:
-                        candidates.append(ev)
+                    candidates.append(refined_sign_change(chart, coord, i, vi, vj, "cone"))
 
     # dedupe: keep the sharpest observation of each parameter
     rank = {"grid": 0, "crossing": 1, "cone": 2, "dip": 3, "degenerate": 4}
+    candidates = [ev for ev in candidates if ev is not None]
     candidates.sort(key=lambda e: (e.nu, rank[e.kind]))
     events: list[SingularEvent] = []
     min_sep = max(1e-7 * span, 64.0 * _EPS)

@@ -230,3 +230,13 @@ class TestProduct:
         res = chart_signed_residuals(p)
         assert res
         assert all(isinstance(v, float) for v in res.values())
+
+    def test_residuals_in_chart_order(self):
+        # the order must not follow set iteration, which varies with
+        # PYTHONHASHSEED
+        p = sk.Problem(free_equation(), sk.validate_bc(sk.chart_matrix("O14", (0.3, 0.2, 0.1, 0.6))))
+        assert list(chart_signed_residuals(p)) == list(sk.CHART_IDS)
+        p = sk.Problem(free_equation(), sk.separated_matrix(0.3, 2.0))
+        assert list(chart_signed_residuals(p)) == [
+            c for c in sk.CHART_IDS if c in sk.covering_charts(p.bc)
+        ]

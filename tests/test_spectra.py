@@ -218,6 +218,31 @@ class TestEigenvalues:
             # an absurdly tight bound
             sk.eigenvalues(sk.Problem(eq, bc))
 
+    def test_overflowing_roots_raise_instead_of_nan(self):
+        # benign separated N = 32 problems drawn as below; at draw 32
+        # (alpha ~ 0.798, beta ~ 0.398) the root iteration overflows, and a
+        # NaN root used to pass the realness test as a spectrum of 32 NaNs
+        rng = np.random.default_rng(5)
+        n = 32
+        for draw in range(40):
+            f = rng.uniform(0.5, 2.0, n + 1)
+            q = rng.uniform(-1.0, 1.0, n)
+            w = rng.uniform(0.5, 2.0, n)
+            alpha = rng.uniform(0.0, math.pi)
+            beta = math.pi - rng.uniform(0.0, math.pi)
+            p = sk.Problem(sk.validate_equation(f, q, w), sk.separated_matrix(alpha, beta))
+            with np.errstate(over="ignore", invalid="ignore"):
+                if draw == 32:
+                    assert (round(alpha, 3), round(beta, 3)) == (0.798, 0.398)
+                    with pytest.raises(NonRealRoot):
+                        sk.eigenvalues(p)
+                    continue
+                try:
+                    values = sk.eigenvalues(p).values()
+                except (DegreeMismatch, NonRealRoot):
+                    continue
+            assert np.all(np.isfinite(values))
+
     def test_spectrum_json_shape(self):
         d = sk.eigenvalues(ex11_problem(0.0)).to_json_dict()
         assert set(d) == {"count", "r", "theta", "eigenvalues", "near_singular"}

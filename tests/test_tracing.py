@@ -70,6 +70,21 @@ class TestTrace:
             defined = col[~np.isnan(col)]
             assert np.all(np.diff(defined) >= 0)
 
+    @pytest.mark.parametrize("name", ["ex1.1", "ex3.1"])
+    def test_each_grid_point_resolved_once(self, name):
+        fam = builtin_family(name)
+        calls = []
+        resolve_fn = fam.resolve_fn
+        fam.resolve_fn = lambda nu: (calls.append(nu), resolve_fn(nu))[1]
+        tr = sk.trace(fam, 64)
+        assert tr.events
+        grid = [float(nu) for nu in tr.grid]
+        assert calls[: len(grid)] == grid
+        # refinement may converge onto a grid point that is an event, but
+        # never evaluates any other grid point again
+        again = set(calls[len(grid) :]) & set(grid)
+        assert again <= {ev.nu for ev in tr.events}
+
     def test_minimum_grid_size(self):
         with pytest.raises(ValueError):
             sk.trace(builtin_family("ex1.1"), 8)
