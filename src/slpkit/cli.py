@@ -33,7 +33,7 @@ from .charts import coupled_matrix, separated_matrix
 from .discontinuity import classify_bc_side, classify_equation_side, classify_product
 from .errors import BadLength, SLPError, UnknownExample, ValidationError
 from .model import Problem, validate_bc, validate_equation
-from .spectra import eigenvalues
+from .spectra import eigenvalues, eigenvalues_many
 from .tolerances import apply_overrides
 from .tracing import (
     chart_affine_family,
@@ -285,10 +285,12 @@ def cmd_verify_example(args) -> int:
     family = fixtures.builtin_family(name)
     closed = fixtures.closed_form(name)
     grid = _grid_points(family, 256)
+    spectra = eigenvalues_many([family.resolve(float(nu)) for nu in grid])
     max_err = 0.0
     mismatch = None
-    for nu in grid:
-        spec = eigenvalues(family.resolve(float(nu)))
+    for nu, spec in zip(grid, spectra):
+        if isinstance(spec, Exception):
+            raise spec
         got = spec.values()
         want = closed(float(nu))
         if len(got) != len(want):

@@ -287,39 +287,69 @@ class Spectrum:
         }
 
 
+def _horner_pair(upper: np.ndarray, c0: np.ndarray, z: np.ndarray) -> tuple:
+    """p and p' of every row at that row's points, in one ``npoly.polyval``
+    pass.
+
+    ``upper`` is (d, B, 2, 1): along the first axis, the monic coefficients
+    1..d of p beside the d coefficients of p'; ``c0`` holds the constant
+    terms of p, which take one last Horner step.  Both operands of every
+    product are contiguous along the roots, so each value carries the same
+    bits as a one-row ``polyval`` call."""
+    acc = npoly.polyval(z[:, None, :], upper, tensor=False)
+    return c0[:, None] + acc[:, 0] * z, acc[:, 1]
+
+
 def _aberth_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of a trimmed polynomial by Aberth-Ehrlich simultaneous
-    iteration on the monic normalization, polished with two Newton steps."""
-    monic = coeffs / coeffs[-1]
-    d = len(monic) - 1
+    """All roots of trimmed polynomials by Aberth-Ehrlich simultaneous
+    iteration on the monic normalization, polished with two Newton steps.
+
+    ``coeffs`` is one coefficient row, or a (B, d+1) stack of rows of one
+    degree.  Each row stops on its own test and leaves the working set, so
+    its roots do not depend on the rows batched with it."""
+    coeffs = np.asarray(coeffs)
+    if coeffs.ndim == 1:
+        return _aberth_roots(coeffs[None, :])[0]
+    monic = coeffs / coeffs[:, -1:]
+    d = monic.shape[1] - 1
     if d == 0:
-        return np.zeros(0, dtype=complex)
+        return np.zeros((len(monic), 0), dtype=complex)
     if d == 1:
-        return np.array([-monic[0]], dtype=complex)
-    dmonic = npoly.polyder(monic)
-    radius = 1.0 + float(np.abs(monic[:-1]).max())
+        return (-monic[:, :1]).astype(complex)
+    upper = np.empty((d, len(monic), 2, 1), dtype=monic.dtype)
+    upper[:, :, 0, 0] = monic[:, 1:].T
+    # npoly.polyder's two products: by the scale 1, then by the power
+    upper[:, :, 1, 0] = (np.arange(1, d + 1) * (monic[:, 1:] * 1)).T
+    c0 = monic[:, 0]
+    radius = 1.0 + np.abs(monic[:, :-1]).max(axis=1)
     k = np.arange(d)
-    z = radius * np.exp(2j * np.pi * (k + 0.35) / d)
+    z = radius[:, None] * np.exp(2j * np.pi * (k + 0.35) / d)
+    roots = np.empty_like(z)
+    live, live_upper, live_c0 = np.arange(len(z)), upper, c0  # rows still iterating
     for _ in range(200):
-        p = npoly.polyval(z, monic)
-        dp = npoly.polyval(z, dmonic)
+        p, dp = _horner_pair(live_upper, live_c0, z)
         dp = np.where(np.abs(dp) > 0.0, dp, 1e-300)
         ratio = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
+        diff = z[:, :, None] - z[:, None, :]
+        diff.reshape(len(z), d * d)[:, :: d + 1] = np.inf  # each row's diagonal
+        s = np.sum(1.0 / diff, axis=2)
         denom = 1.0 - ratio * s
         denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
         step = ratio / denom
         z = z - step
-        if float(np.abs(step).max()) <= 1e-15 * (1.0 + float(np.abs(z).max())):
-            break
+        done = np.abs(step).max(axis=1) <= 1e-15 * (1.0 + np.abs(z).max(axis=1))
+        if np.count_nonzero(done):
+            roots[live[done]] = z[done]
+            keep = ~done
+            live, live_upper, live_c0, z = live[keep], live_upper[:, keep], live_c0[keep], z[keep]
+            if not len(live):
+                break
+    roots[live] = z
     for _ in range(2):
-        p = npoly.polyval(z, monic)
-        dp = npoly.polyval(z, dmonic)
+        p, dp = _horner_pair(upper, c0, roots)
         step = np.where(np.abs(dp) > 0.0, p / np.where(np.abs(dp) > 0.0, dp, 1.0), 0.0)
-        z = z - step
-    return z
+        roots = roots - step
+    return roots
 
 
 def _cluster_real_roots(values: np.ndarray) -> tuple:
@@ -363,19 +393,51 @@ def eigenvalues(problem: Problem) -> Spectrum:
     coefficient that survives trimming but is relatively tiny flags the
     spectrum as near-singular: one root is about to escape to infinity.
     """
-    eq = problem.equation
-    gamma = char_poly(problem)
-    r = rank_r(problem)
-    expected = eq.N - 2 + r
+    result = eigenvalues_many([problem])[0]
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def eigenvalues_many(problems) -> list:
+    """:func:`eigenvalues` of every problem, with one root solve per
+    degree: a list holding each problem's Spectrum, or the exception that
+    ``eigenvalues`` raises for it.  Each spectrum carries the same bits as
+    a separate ``eigenvalues`` call."""
+    results: list = [None] * len(problems)
+    prepared: dict = {}  # index -> (gamma, r, expected) of a problem to solve
+    groups: dict = {}  # degree -> indices of the problems to solve
+    for i, problem in enumerate(problems):
+        gamma = char_poly(problem)
+        r = rank_r(problem)
+        expected = problem.equation.N - 2 + r
+        degree = gamma.degree()
+        if degree != expected:
+            results[i] = DegreeMismatch(degree, expected)
+            continue
+        prepared[i] = (gamma, r, expected)
+        groups.setdefault(degree, []).append(i)
+    solved: dict = {}
+    for degree, members in groups.items():
+        stack = np.array([prepared[i][0].coeffs[: degree + 1] for i in members])
+        solved.update(zip(members, _aberth_roots(stack)))
+    for i, (gamma, r, expected) in prepared.items():
+        try:
+            results[i] = _finish_spectrum(problems[i], gamma, r, expected, solved[i])
+        except NonRealRoot as exc:
+            results[i] = exc
+    return results
+
+
+def _finish_spectrum(problem: Problem, gamma: Polynomial, r: int, expected: int,
+                     roots: np.ndarray) -> Spectrum:
+    """Check the roots of a solved problem, cluster them into
+    multiplicities and polish the double ones.  Warnings name the caller of
+    ``eigenvalues`` (or of the function that called ``eigenvalues_many``)."""
+    n = problem.equation.N
     coeffs = gamma.coeffs
     top = float(np.abs(coeffs).max())
-    degree = gamma.degree()
-    if degree != expected:
-        raise DegreeMismatch(degree, expected)
-    near = bool(
-        degree == eq.N and abs(coeffs[eq.N]) < TOL.near_singular * top
-    )
-    roots = _aberth_roots(coeffs[: degree + 1])
+    near = bool(expected == n and abs(coeffs[n]) < TOL.near_singular * top)
     for root in roots:
         # a NaN imaginary part would pass the size test silently
         if not np.isfinite(root) or abs(root.imag) > TOL.real_root * (1.0 + abs(root.real)):
@@ -388,7 +450,7 @@ def eigenvalues(problem: Problem) -> Spectrum:
             warnings.warn(
                 f"eigenvalue {value} clustered with multiplicity {mult} > 2",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=4,
             )
         if mult == 2:
             value = _polish_double_root(dgamma, value, TOL.cluster * (1.0 + abs(value)))
@@ -399,12 +461,11 @@ def eigenvalues(problem: Problem) -> Spectrum:
                     f"cluster at {value} does not flatten the derivative; "
                     "possibly two close simple eigenvalues",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=4,
                 )
         polished.append((float(value), mult))
-    pairs = tuple(polished)
     return Spectrum(
-        eigenvalues=pairs,
+        eigenvalues=tuple(polished),
         predicted_count=expected,
         r=r,
         theta=complex(theta(problem)),

@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .charts import chart_matrix, coupled_matrix, separated_matrix
+from .charts import CHART_IDS, chart_matrix, coupled_matrix, separated_matrix
 from .discontinuity import _chart_tests
 from .errors import (
     DegreeMismatch,
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .model import BoundaryCondition, Equation, Problem, validate_bc, validate_equation
-from .spectra import Spectrum, char_poly, eigenvalues, rank_r, _aberth_roots
+from .spectra import Spectrum, char_poly, eigenvalues, eigenvalues_many, rank_r, _aberth_roots
 from .tolerances import TOL
 
 _EPS = float(np.finfo(float).eps)
@@ -229,11 +229,25 @@ def _spectrum_or_none(problem: Problem) -> Spectrum | None:
         return None
 
 
+def _spectra_or_none(problems: list) -> list:
+    """:func:`_spectrum_or_none` of every problem, in one batched solve; the
+    first other error, in problem order, is raised."""
+    out = []
+    for result in eigenvalues_many(problems):
+        if isinstance(result, DegreeMismatch):
+            result = None
+        elif isinstance(result, Exception):
+            raise result
+        out.append(result)
+    return out
+
+
 @dataclass(frozen=True)
 class _Point:
     """One evaluation of a family: the resolved problem and its chart tests
-    by chart id.  Every detector reads the same record, so a parameter is
-    resolved once; its spectrum is solved where a count is needed."""
+    by chart id.  Every detector reads the same record, so a grid parameter
+    is resolved once; its spectrum is solved where a count is needed.  A
+    refinement point carries only the test of the chart being refined."""
 
     problem: Problem
     tests: dict
@@ -247,9 +261,9 @@ def _test_value(point: _Point | None, chart: str, coord: str) -> float | None:
     return getattr(test, coord) if test is not None else None
 
 
-def _evaluate(family: Family, nu: float) -> _Point:
+def _evaluate(family: Family, nu: float, charts=CHART_IDS) -> _Point:
     problem = family.resolve(nu)
-    return _Point(problem, _chart_tests(problem.bc, problem.equation.f[0]))
+    return _Point(problem, _chart_tests(problem.bc, problem.equation.f[0], charts))
 
 
 def _grid_point(family: Family, nu: float) -> _Point | None:
@@ -323,7 +337,8 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
     span = family.span
 
     points = [_grid_point(family, nu) for nu in grid]
-    spectra = [_spectrum_or_none(p.problem) if p is not None else None for p in points]
+    solved = iter(_spectra_or_none([p.problem for p in points if p is not None]))
+    spectra = [next(solved) if p is not None else None for p in points]
     counts = np.array([s.predicted_count if s is not None else -1 for s in spectra])
     near = np.array([bool(s.near_singular) if s is not None else True for s in spectra])
 
@@ -381,10 +396,11 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             return SingularEvent(nu, bracket, kind, int(spec.predicted_count), cl, cr)
         return None
 
-    def point_at(nu) -> _Point | None:
-        """The point at a refinement parameter; None where unresolvable."""
+    def point_at(nu, chart) -> _Point | None:
+        """The point at a refinement parameter, with the test of the one
+        chart being refined; None where unresolvable."""
         try:
-            return _evaluate(family, nu)
+            return _evaluate(family, nu, (chart,))
         except UnresolvableFamily:
             return None
 
@@ -393,11 +409,11 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
         """Bisect a sign change of one chart-test field between grid[i] and
         grid[i + 1], discard a flip through a pole, verify the zero."""
         lo, hi = _bisect_zero(
-            lambda nu: _test_value(point_at(nu), chart, coord),
+            lambda nu: _test_value(point_at(nu, chart), chart, coord),
             grid[i], grid[i + 1], v_lo, v_hi,
         )
         nu0 = float(0.5 * (lo + hi))
-        point = point_at(nu0)
+        point = point_at(nu0, chart)
         v_mid = _test_value(point, chart, coord)
         if v_mid is not None and abs(v_mid) > min(abs(v_lo), abs(v_hi)):
             return None  # the sign flipped through a pole, not a zero
@@ -441,9 +457,9 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             # values; break the tie toward the left point
             if trio[1] < trio[0] and trio[1] <= trio[2]:
                 nu0 = float(_golden_min(
-                    lambda nu: abs_residual(point_at(nu)), grid[i - 1], grid[i + 1]
+                    lambda nu: abs_residual(point_at(nu, chart)), grid[i - 1], grid[i + 1]
                 ))
-                point = point_at(nu0)
+                point = point_at(nu0, chart)
                 # the minimizer is located to machine width and verified
                 candidates.append(verified_event(
                     point, nu0, (nu0, nu0), "dip",
@@ -529,8 +545,9 @@ class JumpClassification:
     right: SideClassification | None
 
 
-def _sample_values(problem: Problem) -> tuple | None:
-    """Multiplicity-expanded eigenvalues for classification sampling.
+def _sample_values(problem: Problem, result) -> tuple | None:
+    """Multiplicity-expanded eigenvalues for classification sampling, from
+    the problem's ``eigenvalues_many`` result.
 
     Near a double-degeneracy point the leading coefficients vanish
     quadratically, opening a band where trimming removes them while the
@@ -538,10 +555,10 @@ def _sample_values(problem: Problem) -> tuple | None:
     (DegreeMismatch); here the escaped roots are recovered to first order
     from the surviving top coefficients, which is ample for divergence
     bookkeeping."""
-    try:
-        return eigenvalues(problem).values()
-    except DegreeMismatch:
-        pass
+    if isinstance(result, Spectrum):
+        return result.values()
+    if not isinstance(result, DegreeMismatch):
+        raise result
     gamma = char_poly(problem)
     expected = problem.equation.N - 2 + rank_r(problem)
     deg = gamma.degree()
@@ -579,12 +596,16 @@ def _classify_side(
         h_floor = max(delta / 16.0, 256.0 * _EPS * (1.0 + abs(nu0)))
     n_steps = min(48, max(10, int(math.floor(math.log2(delta / h_floor)))))
     offsets = delta * 0.5 ** np.arange(n_steps)
-    samples = []
+    resolved = []
     for h in offsets:
         try:
-            vals = _sample_values(family.resolve(nu0 + sign_dir * h))
+            resolved.append((h, family.resolve(nu0 + sign_dir * h)))
         except UnresolvableFamily:
-            vals = None
+            pass
+    samples = []
+    results = eigenvalues_many([problem for _, problem in resolved])
+    for (h, problem), result in zip(resolved, results):
+        vals = _sample_values(problem, result)
         if vals is not None:
             samples.append((h, vals))
     if len(samples) < 4:
