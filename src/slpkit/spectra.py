@@ -359,7 +359,8 @@ def _cluster_real_roots(values: np.ndarray) -> tuple:
             groups[-1].append(float(v))
         else:
             groups.append([float(v)])
-    return tuple((float(np.mean(g)), len(g)) for g in groups)
+    # v + 0.0 is the one-element mean bit for bit (it also turns -0.0 into 0.0)
+    return tuple((float(np.mean(g)) if len(g) > 1 else g[0] + 0.0, len(g)) for g in groups)
 
 
 def _polish_double_root(dgamma: Polynomial, center: float, radius: float) -> float:
@@ -443,7 +444,8 @@ def _finish_spectrum(problem: Problem, gamma: Polynomial, r: int, expected: int,
         if not np.isfinite(root) or abs(root.imag) > TOL.real_root * (1.0 + abs(root.real)):
             raise NonRealRoot(complex(root))
     pairs = _cluster_real_roots(roots.real)
-    dgamma = gamma.derivative()
+    # only multiple roots are polished and checked against the derivative
+    dgamma = gamma.derivative() if any(mult >= 2 for _, mult in pairs) else None
     polished = []
     for value, mult in pairs:
         if mult >= 3:

@@ -18,7 +18,7 @@ expected divergence/shift patterns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .model import BoundaryCondition, Equation, Problem, validate_bc, validate_equation
-from .spectra import Spectrum, char_poly, eigenvalues, eigenvalues_many, rank_r, _aberth_roots
+from .spectra import Spectrum, char_poly, eigenvalues_many, _aberth_roots
 from .tolerances import TOL
 
 _EPS = float(np.finfo(float).eps)
@@ -222,16 +222,10 @@ def _grid_points(family: Family, n: int) -> np.ndarray:
     return np.linspace(a, b, n)
 
 
-def _spectrum_or_none(problem: Problem) -> Spectrum | None:
-    try:
-        return eigenvalues(problem)
-    except DegreeMismatch:
-        return None
-
-
 def _spectra_or_none(problems: list) -> list:
-    """:func:`_spectrum_or_none` of every problem, in one batched solve; the
-    first other error, in problem order, is raised."""
+    """The spectrum of every problem, or None where it sits in the tolerance
+    gap (DegreeMismatch), in one batched solve; the first other error, in
+    problem order, is raised."""
     out = []
     for result in eigenvalues_many(problems):
         if isinstance(result, DegreeMismatch):
@@ -275,6 +269,31 @@ def _grid_point(family: Family, nu: float) -> _Point | None:
         if any(abs(nu - fl) <= 1e-9 * max(1.0, abs(nu)) for fl in family.flagged):
             return None
         raise
+
+
+@dataclass(frozen=True)
+class _Candidate:
+    """A refined candidate waiting for the spectrum at its parameter; the
+    candidates of one trace are solved together after the last detector.
+    ``event`` lacks only the count there, and ``ref`` is the count at the
+    nearest grid point (None where undefined)."""
+
+    problem: Problem
+    event: SingularEvent
+    ref: int | None
+    residual_collapsed: bool
+
+    def verified(self, spec: Spectrum | None) -> SingularEvent | None:
+        """Accept the candidate only if the problem there actually
+        degenerates.  A candidate whose spectrum cannot be evaluated at all
+        additionally needs its residual to have collapsed: a sign flip
+        through a pole (chart boundary, or f_0 passing through infinity)
+        leaves the residual huge and is discarded."""
+        if spec is None:
+            return self.event if self.residual_collapsed else None
+        if (self.ref is not None and spec.predicted_count < self.ref) or spec.near_singular:
+            return replace(self.event, count_at=int(spec.predicted_count))
+        return None
 
 
 def _bisect_zero(fn, lo, hi, f_lo, f_hi):
@@ -350,7 +369,8 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
         vals = spec.values()
         values[: len(vals), i] = vals
 
-    candidates: list[SingularEvent | None] = []  # None: refinement rejected it
+    # None: refinement rejected it; a _Candidate still awaits verification
+    candidates: list[SingularEvent | _Candidate | None] = []
 
     def neighbor_counts(i):
         left = counts[i - 1] if i > 0 else None
@@ -374,27 +394,19 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
                 SingularEvent(float(grid[i]), (float(grid[i]), float(grid[i])), "grid", int(counts[i]), cl, cr)
             )
 
-    def verified_event(point, nu, bracket, kind, count_left=None, count_right=None,
-                       residual_collapsed=False):
-        """Accept a refined candidate only if the problem there actually
-        degenerates.  A candidate whose spectrum cannot be evaluated at all
-        additionally needs its residual to have collapsed: a sign flip
-        through a pole (chart boundary, or f_0 passing through infinity)
-        leaves the residual huge and is discarded."""
+    def pending_event(point, nu, bracket, kind, count_left=None, count_right=None,
+                      residual_collapsed=False):
+        """A refined candidate, verified with the others after the last
+        detector (:meth:`_Candidate.verified`); None where unresolvable."""
         if point is None:
             return None
-        spec = _spectrum_or_none(point.problem)
         i_near = int(np.argmin(np.abs(grid - nu)))
         ref = counts[i_near] if counts[i_near] >= 0 else None
         cl = count_left if count_left is not None else ref
         cr = count_right if count_right is not None else ref
-        if spec is None:
-            if residual_collapsed:
-                return SingularEvent(nu, bracket, kind, None, cl, cr)
-            return None
-        if (ref is not None and spec.predicted_count < ref) or spec.near_singular:
-            return SingularEvent(nu, bracket, kind, int(spec.predicted_count), cl, cr)
-        return None
+        return _Candidate(
+            point.problem, SingularEvent(nu, bracket, kind, None, cl, cr), ref, residual_collapsed
+        )
 
     def point_at(nu, chart) -> _Point | None:
         """The point at a refinement parameter, with the test of the one
@@ -417,7 +429,7 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
         v_mid = _test_value(point, chart, coord)
         if v_mid is not None and abs(v_mid) > min(abs(v_lo), abs(v_hi)):
             return None  # the sign flipped through a pole, not a zero
-        return verified_event(
+        return pending_event(
             point, nu0, (float(lo), float(hi)), kind, count_left, count_right,
             residual_collapsed=v_mid is not None
             and abs(v_mid) <= 1e-6 * max(abs(v_lo), abs(v_hi)),
@@ -461,7 +473,7 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
                 ))
                 point = point_at(nu0, chart)
                 # the minimizer is located to machine width and verified
-                candidates.append(verified_event(
+                candidates.append(pending_event(
                     point, nu0, (nu0, nu0), "dip",
                     residual_collapsed=abs_residual(point) <= 1e-6 * max(trio[0], trio[2]),
                 ))
@@ -482,6 +494,10 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
                 if (vi > 0) != (vj > 0):
                     candidates.append(refined_sign_change(chart, coord, i, vi, vj, "cone"))
 
+    refined = [i for i, ev in enumerate(candidates) if isinstance(ev, _Candidate)]
+    for i, spec in zip(refined, _spectra_or_none([candidates[i].problem for i in refined])):
+        candidates[i] = candidates[i].verified(spec)
+
     # dedupe: keep the sharpest observation of each parameter
     rank = {"grid": 0, "crossing": 1, "cone": 2, "dip": 3, "degenerate": 4}
     candidates = [ev for ev in candidates if ev is not None]
@@ -500,13 +516,7 @@ def _limit_values(problem: Problem) -> tuple:
     """Multiplicity-expanded eigenvalues of a (possibly near-degenerate)
     limit problem, with any about-to-escape root beyond the divergence
     threshold removed."""
-    spec = _spectrum_or_none(problem)
-    if spec is None:
-        trimmed = char_poly(problem).trimmed()
-        roots = np.sort(_aberth_roots(trimmed.coeffs).real)
-    else:
-        roots = np.array(spec.values())
-    return tuple(float(v) for v in roots if abs(v) <= TOL.divergence)
+    return _jump_values(problem, [])[0]
 
 
 @dataclass(frozen=True)
@@ -545,41 +555,74 @@ class JumpClassification:
     right: SideClassification | None
 
 
-def _sample_values(problem: Problem, result) -> tuple | None:
-    """Multiplicity-expanded eigenvalues for classification sampling, from
-    the problem's ``eigenvalues_many`` result.
-
-    Near a double-degeneracy point the leading coefficients vanish
-    quadratically, opening a band where trimming removes them while the
-    rank still demands the full count.  The engine refuses such problems
-    (DegreeMismatch); here the escaped roots are recovered to first order
-    from the surviving top coefficients, which is ample for divergence
-    bookkeeping."""
-    if isinstance(result, Spectrum):
-        return result.values()
-    if not isinstance(result, DegreeMismatch):
-        raise result
-    gamma = char_poly(problem)
-    expected = problem.equation.N - 2 + rank_r(problem)
-    deg = gamma.degree()
-    if deg >= expected or abs(gamma.coeffs[expected]) == 0.0:
-        return None
-    moderate = np.sort(_aberth_roots(gamma.coeffs[: deg + 1]).real)
-    top = gamma.coeffs[deg : expected + 1]
-    escaped = np.sort(_aberth_roots(top).real)
-    return tuple(np.sort(np.concatenate([moderate, escaped])))
+def _sorted_real_roots(rows: dict) -> dict:
+    """The sorted real parts of the roots of every coefficient row, by key,
+    with one :func:`_aberth_roots` stack per row length."""
+    by_length: dict = {}
+    for key, row in rows.items():
+        by_length.setdefault(len(row), []).append(key)
+    roots = {}
+    for keys in by_length.values():
+        stack = _aberth_roots(np.array([rows[key] for key in keys]))
+        roots.update((key, np.sort(row.real)) for key, row in zip(keys, stack))
+    return roots
 
 
-def _classify_side(
-    family: Family,
-    nu0: float,
-    side: str,
-    limit_values: tuple,
-    bracket_width: float,
-    gap: float,
-) -> SideClassification | None:
-    """Classify every branch index on one side of nu0 from dyadically
-    refined samples nu0 +- delta * 2^-j.
+def _jump_values(limit: Problem | None, sides: list) -> tuple:
+    """The values of a limit problem (:func:`_limit_values`; None without
+    one) and, for each side's ``(h, problem)`` offsets, the samples
+    ``(h, values)``, from one ``eigenvalues_many`` call over the limit and
+    every offset.  The first error other than DegreeMismatch is raised: the
+    limit's, then the offsets' in side and offset order.
+
+    A DegreeMismatch limit keeps the roots of its trimmed characteristic
+    polynomial.  A DegreeMismatch sample sits near a double-degeneracy
+    point: the leading coefficients vanish quadratically, opening a band
+    where trimming removes them while the rank still demands the full
+    count.  Its escaped roots are recovered to first order from the
+    surviving top coefficients, which is ample for divergence bookkeeping.
+    All these rows are solved in one stack per row length."""
+    problems = [problem for resolved in sides for _, problem in resolved]
+    if limit is not None:
+        problems.insert(0, limit)
+    results = eigenvalues_many(problems)
+    rows: dict = {}  # (problem index, part) -> coefficient row to solve
+    for i, (problem, result) in enumerate(zip(problems, results)):
+        if isinstance(result, Spectrum):
+            continue
+        if not isinstance(result, DegreeMismatch):
+            raise result
+        coeffs, deg, expected = char_poly(problem).coeffs, result.degree, result.expected
+        if limit is not None and i == 0:
+            rows[i, "moderate"] = coeffs[: deg + 1]
+        elif deg < expected and abs(coeffs[expected]) != 0.0:
+            rows[i, "moderate"] = coeffs[: deg + 1]
+            rows[i, "escaped"] = coeffs[deg : expected + 1]
+    roots = _sorted_real_roots(rows)
+    values = []
+    for i, result in enumerate(results):
+        if isinstance(result, Spectrum):
+            values.append(result.values())
+        elif (i, "escaped") in roots:
+            both = np.concatenate([roots[i, "moderate"], roots[i, "escaped"]])
+            values.append(tuple(np.sort(both)))
+        else:
+            values.append(roots.get((i, "moderate")))  # None: not recoverable
+    limit_values = None
+    if limit is not None:
+        limit_values = tuple(float(v) for v in values.pop(0) if abs(v) <= TOL.divergence)
+    samples = []
+    for resolved in sides:
+        side_values, values = values[: len(resolved)], values[len(resolved) :]
+        samples.append([(h, v) for (h, _), v in zip(resolved, side_values) if v is not None])
+    return limit_values, samples
+
+
+def _side_offsets(
+    family: Family, nu0: float, side: str, bracket_width: float, gap: float
+) -> list:
+    """The problems ``(h, problem)`` at the dyadically refined offsets
+    nu0 +- delta * 2^-j of one side, where the family resolves.
 
     The innermost offset is floored so the sampled problems stay solidly
     off the singular set: limits converge linearly in the offset, so a
@@ -602,12 +645,45 @@ def _classify_side(
             resolved.append((h, family.resolve(nu0 + sign_dir * h)))
         except UnresolvableFamily:
             pass
-    samples = []
-    results = eigenvalues_many([problem for _, problem in resolved])
-    for (h, problem), result in zip(resolved, results):
-        vals = _sample_values(problem, result)
-        if vals is not None:
-            samples.append((h, vals))
+    return resolved
+
+
+def _classify_side(
+    family: Family,
+    nu0: float,
+    side: str,
+    limit_values: tuple,
+    bracket_width: float,
+    gap: float,
+) -> SideClassification | None:
+    """Classify every branch index on one side of nu0 from the samples at
+    its dyadic offsets (:func:`_side_offsets`)."""
+    resolved = _side_offsets(family, nu0, side, bracket_width, gap)
+    (samples,) = _jump_values(None, [resolved])[1]
+    return _side_classification(side, samples, limit_values)
+
+
+def _classify_sides(
+    family: Family, nu0: float, limit: Problem, bracket_width: float, gaps: dict
+) -> tuple:
+    """The limit values and the classification of each side in ``gaps``
+    (side -> distance to the next boundary), from one stacked solve of the
+    limit problem and every side's samples."""
+    resolved = {
+        side: _side_offsets(family, nu0, side, bracket_width, gap) for side, gap in gaps.items()
+    }
+    limit_values, samples = _jump_values(limit, list(resolved.values()))
+    return limit_values, {
+        side: _side_classification(side, side_samples, limit_values)
+        for side, side_samples in zip(resolved, samples)
+    }
+
+
+def _side_classification(
+    side: str, samples: list, limit_values: tuple
+) -> SideClassification | None:
+    """Classify every branch index on one side from its samples
+    ``(h, values)``, the innermost offset last."""
     if len(samples) < 4:
         return None
     k = len(samples[-1][1])
@@ -683,7 +759,7 @@ def classify_jump(trace_obj: BranchTrace, nu_star: float) -> JumpClassification:
             f"no detected singular parameter near {nu_star} (closest: {event.nu})"
         )
     nu0 = event.nu
-    limit_values = _limit_values(family.resolve(nu0))
+    limit = family.resolve(nu0)
     bracket_width = event.bracket[1] - event.bracket[0]
     lo, hi = family.domain
     boundaries = sorted(
@@ -691,17 +767,13 @@ def classify_jump(trace_obj: BranchTrace, nu_star: float) -> JumpClassification:
     )
     below = max((b for b in boundaries if b < nu0 - 1e-12 * span), default=None)
     above = min((b for b in boundaries if b > nu0 + 1e-12 * span), default=None)
-    left = None
+    gaps = {}
     if below is not None:
-        left = _classify_side(
-            family, nu0, "left", limit_values, bracket_width, nu0 - below
-        )
-    right = None
+        gaps["left"] = nu0 - below
     if above is not None:
-        right = _classify_side(
-            family, nu0, "right", limit_values, bracket_width, above - nu0
-        )
-    return JumpClassification(nu0, limit_values, left, right)
+        gaps["right"] = above - nu0
+    limit_values, sides = _classify_sides(family, nu0, limit, bracket_width, gaps)
+    return JumpClassification(nu0, limit_values, sides.get("left"), sides.get("right"))
 
 
 # -- monotonicity ------------------------------------------------------------
@@ -841,11 +913,10 @@ class PatternCheck:
 def _run_pattern_check(check: PatternCheck) -> list:
     rows = []
     if check.explicit_limit is not None:
-        limit_values = _limit_values(check.explicit_limit)
+        gaps = {side: check.family.span * 0.5 for side in check.expected}
+        _, sides = _classify_sides(check.family, check.nu_star, check.explicit_limit, 0.0, gaps)
         for side, want in check.expected.items():
-            gap = check.family.span * 0.5
-            got = _classify_side(check.family, check.nu_star, side, limit_values, 0.0, gap)
-            rows.extend(_diff_side(check.label, side, want, got))
+            rows.extend(_diff_side(check.label, side, want, sides[side]))
         return rows
     tr = trace(check.family, check.grid_size)
     try:
