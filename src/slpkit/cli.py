@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -31,20 +32,18 @@ import numpy as np
 from . import fixtures
 from .charts import coupled_matrix, separated_matrix
 from .discontinuity import classify_bc_side, classify_equation_side, classify_product
-from .errors import BadLength, SLPError, UnknownExample, ValidationError
-from .model import Problem, validate_bc, validate_equation
-from .spectra import eigenvalues, eigenvalues_many
-from .tolerances import apply_overrides
-from .tracing import (
+from .errors import BadLength, SLPError
+from .families import (
     chart_affine_family,
-    classify_jump,
     constant_family,
     coupled_axis_family,
     equation_affine_family,
     separated_angle_family,
-    trace,
-    _grid_points,
 )
+from .model import Problem, validate_bc, validate_equation
+from .spectra import eigenvalues, eigenvalues_many
+from .tolerances import apply_overrides
+from .tracing import classify_jump, trace
 
 
 def _angle(obj) -> float:
@@ -129,7 +128,7 @@ def family_from_json(obj):
     else:
         raise KeyError(f"unknown family kind {kind!r}")
     if domain is not None:
-        fam.domain = (float(domain[0]), float(domain[1]))
+        fam = dataclasses.replace(fam, domain=(float(domain[0]), float(domain[1])))
     return fam
 
 
@@ -284,7 +283,7 @@ def cmd_verify_example(args) -> int:
     name = args.name
     family = fixtures.builtin_family(name)
     closed = fixtures.closed_form(name)
-    grid = _grid_points(family, 256)
+    grid = family.grid(256)
     spectra = eigenvalues_many([family.resolve(float(nu)) for nu in grid])
     max_err = 0.0
     mismatch = None
@@ -356,12 +355,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except UnknownExample as exc:
-        print(json.dumps({"error": "UnknownExample", "message": str(exc)}), file=sys.stderr)
-        return 2
     except SLPError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

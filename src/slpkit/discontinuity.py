@@ -101,6 +101,14 @@ def chart_signed_residuals(problem: Problem) -> dict:
     return {chart: t.residual for chart, t in tests.items()}
 
 
+def _side(delta: float, tol: float) -> str:
+    """The suffix of a set label: "" on the set (|delta| <= tol), else
+    "_plus" or "_minus" by the sign of delta."""
+    if abs(delta) <= tol:
+        return ""
+    return "_plus" if delta > 0 else "_minus"
+
+
 @dataclass(frozen=True)
 class EquationSideClassification:
     """Where a fixed boundary condition places an equation relative to the
@@ -145,12 +153,7 @@ def classify_equation_side(bc_fixed: BoundaryCondition, eq: Equation) -> Equatio
         eta = float(eta_c.real)
         delta = inv_f0 - eta
         tol = TOL.set_membership * max(1.0, abs(eta), abs(inv_f0))
-        if abs(delta) <= tol:
-            membership = "E"
-        elif delta > 0:
-            membership = "E_plus"
-        else:
-            membership = "E_minus"
+        membership = "E" + _side(delta, tol)
         return EquationSideClassification(mu1, mu2, "i", eta, membership, abs(delta))
 
     if zero1 != zero2:
@@ -182,14 +185,8 @@ def classify_equation_side(bc_fixed: BoundaryCondition, eq: Equation) -> Equatio
         base, form, value = "E2", "A2", -sin_a / cos_a
     delta = inv_f0 - target
     tol = TOL.set_membership * max(1.0, abs(target), abs(inv_f0))
-    if abs(delta) <= tol:
-        membership = base
-    elif delta > 0:
-        membership = base + "_plus"
-    else:
-        membership = base + "_minus"
     return EquationSideClassification(
-        mu1, mu2, "iii", None, membership, abs(delta), form, value
+        mu1, mu2, "iii", None, base + _side(delta, tol), abs(delta), form, value
     )
 
 
@@ -271,15 +268,9 @@ def classify_bc_side(eq_fixed: Equation, bc: BoundaryCondition) -> BCSideClassif
             delta = ratio - f0
             tol = TOL.set_membership * max(1.0, abs(ratio), abs(f0))
             dists["BC1"] = abs(delta)
-            if abs(delta) <= tol:
-                sets.add("BC1")
-                sides["C1"] = "on"
-            elif delta > 0:
-                sets.add("BC1_plus")
-                sides["C1"] = "plus"
-            else:
-                sets.add("BC1_minus")
-                sides["C1"] = "minus"
+            suffix = _side(delta, tol)
+            sets.add("BC1" + suffix)
+            sides["C1"] = suffix[1:] or "on"
         else:
             # k12 = 0: the leading coefficient cannot vanish on this fiber
             dists["BC1"] = _INF

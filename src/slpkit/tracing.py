@@ -11,182 +11,27 @@ branches diverging to -infinity occupy the bottom indices, those to
 +infinity the top ones, and every surviving branch shifts down by the
 number lost below it.  ``check_monotonicity`` verifies the directional
 monotonicity of the curves along single-coordinate sweeps, and
-``verify_asymptotic_theorem`` runs named crossing fixtures against their
-expected divergence/shift patterns.
+``verify_asymptotic_theorem`` runs the named crossing fixtures of
+:mod:`slpkit.fixtures` against their expected divergence/shift patterns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .charts import CHART_IDS, chart_matrix, coupled_matrix, separated_matrix
+from .charts import CHART_IDS
 from .discontinuity import _chart_tests
-from .errors import (
-    DegreeMismatch,
-    FamilyNotAxisAligned,
-    OutOfRange,
-    PatternMismatch,
-    UnresolvableFamily,
-    ValidationError,
-)
-from .model import BoundaryCondition, Equation, Problem, validate_bc, validate_equation
+from .errors import DegreeMismatch, FamilyNotAxisAligned, PatternMismatch, UnresolvableFamily
+from .families import Family
+from .fixtures import PatternCheck, _asymptotic_checks
+from .model import Problem
 from .spectra import Spectrum, char_poly, eigenvalues_many, _aberth_roots
 from .tolerances import TOL
 
 _EPS = float(np.finfo(float).eps)
-
-
-@dataclass
-class Family:
-    """A one-parameter family nu -> Problem over a real interval.
-
-    ``axis`` identifies single-coordinate sweeps (e.g. ``("q", 2)``,
-    ``("alpha",)``, ``("chart", "O14", 0)``); it drives the monotonicity
-    rules.  Open interval ends are excluded from grids.  ``flagged``
-    lists finitely many parameters where the resolver is allowed to fail.
-    """
-
-    kind: str
-    domain: tuple
-    resolve_fn: Callable
-    right_open: bool = False
-    left_open: bool = False
-    axis: tuple | None = None
-    label: str = ""
-    flagged: tuple = ()
-
-    def resolve(self, nu: float) -> Problem:
-        try:
-            return self.resolve_fn(float(nu))
-        except ValidationError as exc:
-            raise UnresolvableFamily(float(nu), str(exc)) from exc
-
-    @property
-    def span(self) -> float:
-        return self.domain[1] - self.domain[0]
-
-
-def constant_family(problem: Problem, domain=(0.0, 1.0)) -> Family:
-    return Family("constant", tuple(domain), lambda nu: problem, label="constant")
-
-
-def equation_affine_family(eq_from: Equation, eq_to: Equation, bc: BoundaryCondition) -> Family:
-    """Straight line between two equations in the (1/f, q, w) coordinates,
-    boundary condition fixed; parameter runs over [0, 1]."""
-    inv_a, inv_b = np.array(eq_from.inv_f), np.array(eq_to.inv_f)
-    q_a, q_b = np.array(eq_from.q), np.array(eq_to.q)
-    w_a, w_b = np.array(eq_from.w), np.array(eq_to.w)
-
-    def resolve(t):
-        inv = (1.0 - t) * inv_a + t * inv_b
-        q = (1.0 - t) * q_a + t * q_b
-        w = (1.0 - t) * w_a + t * w_b
-        with np.errstate(divide="ignore"):
-            f = 1.0 / inv  # validation rejects the non-finite entries
-        return Problem(validate_equation(f, q, w), bc)
-
-    return Family("equation-affine", (0.0, 1.0), resolve, label="equation-affine")
-
-
-def equation_axis_family(eq: Equation, bc: BoundaryCondition, axis: tuple, lo: float, hi: float) -> Family:
-    """Sweep one equation coordinate; the parameter is the coordinate value.
-
-    ``axis`` is ``("inv_f", j)`` with 0 <= j <= N (parameter is 1/f_j),
-    ``("f", j)``, ``("q", j)`` or ``("w", j)`` with 1-based lattice j.
-    """
-    kind, j = axis
-
-    def resolve(nu):
-        f, q, w = list(eq.f), list(eq.q), list(eq.w)
-        if kind == "inv_f":
-            if nu == 0.0:
-                raise OutOfRange("1/f = 0 lies on the boundary of the equation space")
-            f[j] = 1.0 / nu
-        elif kind == "f":
-            f[j] = nu
-        elif kind == "q":
-            q[j - 1] = nu
-        elif kind == "w":
-            w[j - 1] = nu
-        else:
-            raise KeyError(f"unknown equation axis {kind!r}")
-        return Problem(validate_equation(f, q, w), bc)
-
-    flagged = (0.0,) if kind in ("inv_f", "f") and lo < 0.0 < hi else ()
-    return Family(
-        "equation-affine", (float(lo), float(hi)), resolve, axis=(kind, j),
-        label=f"{kind}[{j}] sweep", flagged=flagged,
-    )
-
-
-def chart_axis_family(eq: Equation, chart: str, base_coords, index: int, lo: float, hi: float) -> Family:
-    """Sweep one chart coordinate with the equation fixed."""
-
-    def resolve(nu):
-        coords = list(base_coords)
-        coords[index] = nu
-        return Problem(eq, validate_bc(chart_matrix(chart, coords)))
-
-    return Family(
-        "chart-affine", (float(lo), float(hi)), resolve,
-        axis=("chart", chart, index), label=f"{chart}[{index}] sweep",
-    )
-
-
-def chart_affine_family(eq: Equation, chart: str, coords_from, coords_to) -> Family:
-    """Straight line between two coordinate vectors of one chart."""
-    a = np.asarray(coords_from, dtype=float)
-    b = np.asarray(coords_to, dtype=float)
-
-    def resolve(t):
-        return Problem(eq, validate_bc(chart_matrix(chart, (1.0 - t) * a + t * b)))
-
-    moving = np.nonzero(a != b)[0]
-    axis = ("chart", chart, int(moving[0])) if len(moving) == 1 else None
-    return Family("chart-affine", (0.0, 1.0), resolve, axis=axis, label=f"{chart} line")
-
-
-def separated_angle_family(eq: Equation, axis: str, fixed: float, lo: float, hi: float) -> Family:
-    """Sweep alpha (fixed beta) or beta (fixed alpha) of the separated
-    canonical form."""
-    if axis == "alpha":
-        def resolve(nu):
-            return Problem(eq, separated_matrix(nu, fixed))
-        dom_kwargs = dict(right_open=math.isclose(hi, math.pi))
-    elif axis == "beta":
-        def resolve(nu):
-            return Problem(eq, separated_matrix(fixed, nu))
-        dom_kwargs = dict(left_open=lo == 0.0)
-    else:
-        raise KeyError(f"unknown separated axis {axis!r}")
-    return Family(
-        "separated-angle", (float(lo), float(hi)), resolve,
-        axis=(axis,), label=f"{axis} sweep", **dom_kwargs,
-    )
-
-
-def coupled_axis_family(eq: Equation, gamma: float, K, axis: str, lo: float, hi: float) -> Family:
-    """Sweep gamma or the k11 entry (k22 compensating to keep det K = 1)."""
-    k = np.asarray(K, dtype=float)
-
-    def resolve(nu):
-        if axis == "gamma":
-            return Problem(eq, coupled_matrix(nu, k))
-        if axis == "k11":
-            knew = k.copy()
-            knew[0, 0] = nu
-            knew[1, 1] = (1.0 + k[0, 1] * k[1, 0]) / nu
-            return Problem(eq, coupled_matrix(gamma, knew))
-        raise KeyError(f"unknown coupled axis {axis!r}")
-
-    return Family(
-        "coupled-sweep", (float(lo), float(hi)), resolve,
-        axis=(axis,), label=f"coupled {axis} sweep",
-    )
 
 
 @dataclass(frozen=True)
@@ -209,17 +54,6 @@ class BranchTrace:
     counts: np.ndarray  # -1 where the spectrum could not be computed
     near_singular: np.ndarray
     events: list
-
-
-def _grid_points(family: Family, n: int) -> np.ndarray:
-    a, b = family.domain
-    if family.left_open and family.right_open:
-        return a + (b - a) * np.arange(1, n + 1) / (n + 1)
-    if family.right_open:
-        return a + (b - a) * np.arange(n) / n
-    if family.left_open:
-        return a + (b - a) * np.arange(1, n + 1) / n
-    return np.linspace(a, b, n)
 
 
 def _spectra_or_none(problems: list) -> list:
@@ -352,7 +186,7 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
-    grid = _grid_points(family, grid_size)
+    grid = family.grid(grid_size)
     span = family.span
 
     points = [_grid_point(family, nu) for nu in grid]
@@ -512,13 +346,6 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
     return BranchTrace(family, grid, values, counts, near, events)
 
 
-def _limit_values(problem: Problem) -> tuple:
-    """Multiplicity-expanded eigenvalues of a (possibly near-degenerate)
-    limit problem, with any about-to-escape root beyond the divergence
-    threshold removed."""
-    return _jump_values(problem, [])[0]
-
-
 @dataclass(frozen=True)
 class BranchLimit:
     """One-sided behavior of a single indexed branch at a singular point."""
@@ -568,9 +395,10 @@ def _sorted_real_roots(rows: dict) -> dict:
     return roots
 
 
-def _jump_values(limit: Problem | None, sides: list) -> tuple:
-    """The values of a limit problem (:func:`_limit_values`; None without
-    one) and, for each side's ``(h, problem)`` offsets, the samples
+def _jump_values(limit: Problem, sides: list) -> tuple:
+    """The multiplicity-expanded values of a (possibly near-degenerate)
+    limit problem, without any about-to-escape root beyond the divergence
+    threshold, and, for each side's ``(h, problem)`` offsets, the samples
     ``(h, values)``, from one ``eigenvalues_many`` call over the limit and
     every offset.  The first error other than DegreeMismatch is raised: the
     limit's, then the offsets' in side and offset order.
@@ -582,9 +410,7 @@ def _jump_values(limit: Problem | None, sides: list) -> tuple:
     count.  Its escaped roots are recovered to first order from the
     surviving top coefficients, which is ample for divergence bookkeeping.
     All these rows are solved in one stack per row length."""
-    problems = [problem for resolved in sides for _, problem in resolved]
-    if limit is not None:
-        problems.insert(0, limit)
+    problems = [limit] + [problem for resolved in sides for _, problem in resolved]
     results = eigenvalues_many(problems)
     rows: dict = {}  # (problem index, part) -> coefficient row to solve
     for i, (problem, result) in enumerate(zip(problems, results)):
@@ -593,7 +419,7 @@ def _jump_values(limit: Problem | None, sides: list) -> tuple:
         if not isinstance(result, DegreeMismatch):
             raise result
         coeffs, deg, expected = char_poly(problem).coeffs, result.degree, result.expected
-        if limit is not None and i == 0:
+        if i == 0:
             rows[i, "moderate"] = coeffs[: deg + 1]
         elif deg < expected and abs(coeffs[expected]) != 0.0:
             rows[i, "moderate"] = coeffs[: deg + 1]
@@ -608,9 +434,7 @@ def _jump_values(limit: Problem | None, sides: list) -> tuple:
             values.append(tuple(np.sort(both)))
         else:
             values.append(roots.get((i, "moderate")))  # None: not recoverable
-    limit_values = None
-    if limit is not None:
-        limit_values = tuple(float(v) for v in values.pop(0) if abs(v) <= TOL.divergence)
+    limit_values = tuple(float(v) for v in values.pop(0) if abs(v) <= TOL.divergence)
     samples = []
     for resolved in sides:
         side_values, values = values[: len(resolved)], values[len(resolved) :]
@@ -646,21 +470,6 @@ def _side_offsets(
         except UnresolvableFamily:
             pass
     return resolved
-
-
-def _classify_side(
-    family: Family,
-    nu0: float,
-    side: str,
-    limit_values: tuple,
-    bracket_width: float,
-    gap: float,
-) -> SideClassification | None:
-    """Classify every branch index on one side of nu0 from the samples at
-    its dyadic offsets (:func:`_side_offsets`)."""
-    resolved = _side_offsets(family, nu0, side, bracket_width, gap)
-    (samples,) = _jump_values(None, [resolved])[1]
-    return _side_classification(side, samples, limit_values)
 
 
 def _classify_sides(
@@ -894,20 +703,7 @@ def check_monotonicity(family: Family, direction=None, grid_size: int = 65) -> M
     return MonotonicityReport(rule, grid_size, tuple(runs), tuple(violations))
 
 
-# -- named asymptotic fixtures ------------------------------------------------
-
-
-@dataclass
-class PatternCheck:
-    """One crossing (or endpoint approach) with its expected divergence
-    pattern per side: side -> (branches to -inf, branches to +inf)."""
-
-    label: str
-    family: Family
-    nu_star: float
-    expected: dict
-    grid_size: int = 96
-    explicit_limit: Problem | None = None  # endpoint approaches only
+# -- the asymptotic theorem on the named fixtures -----------------------------
 
 
 def _run_pattern_check(check: PatternCheck) -> list:
@@ -947,197 +743,6 @@ def _diff_side(label: str, side: str, want: tuple, got: SideClassification | Non
     if not got.consistent:
         rows.append((label, side, "index bookkeeping", "shift pattern inconsistent"))
     return rows
-
-
-def _fixture_equation_n4() -> Equation:
-    return validate_equation(
-        [0.8, 1.3, 0.7, 1.9, 1.1], [0.4, -0.3, 0.8, 0.1], [1.2, 0.9, 1.5, 1.0]
-    )
-
-
-def _asymptotic_checks(name: str) -> list:
-    eq4 = _fixture_equation_n4()
-    inv_f0 = 1.0 / eq4.f[0]  # 1.25
-    z = (0.3, 0.2)
-    zsq = z[0] ** 2 + z[1] ** 2
-
-    if name == "equation-crossing":
-        # fixed condition with both invariants nonzero; crossing 1/f_0 = eta = 1
-        bc = validate_bc([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 1.0]])
-        base = validate_equation(
-            [1.0, 1.3, 0.7, 1.9, 1.1], [0.4, -0.3, 0.8, 0.1], [1.2, 0.9, 1.5, 1.0]
-        )
-        fam = equation_axis_family(base, bc, ("inv_f", 0), 0.4, 1.6)
-        return [
-            PatternCheck("equation space: crossing the critical hyperplane", fam, 1.0, {"left": (1, 0), "right": (0, 1)})
-        ]
-
-    if name == "chart-i4-crossing":
-        fam = chart_axis_family(
-            eq4, "O14", (0.0, z[0], z[1], 0.6), 0, inv_f0 - 0.8, inv_f0 + 0.8
-        )
-        return [
-            PatternCheck(
-                "i4 chart: crossing the rank-one set", fam, inv_f0, {"left": (0, 1), "right": (1, 0)}
-            )
-        ]
-
-    if name == "chart-i3-crossing":
-        checks = []
-        p = 0.7
-        b_star = zsq / p
-        fam_r = chart_axis_family(
-            eq4, "O13", (inv_f0 + p, z[0], z[1], 0.0), 3, b_star - 0.5, b_star + 0.5
-        )
-        checks.append(
-            PatternCheck(
-                "i3 chart: crossing at a generic r point", fam_r, b_star, {"left": (0, 1), "right": (1, 0)}
-            )
-        )
-        fam_l = chart_axis_family(
-            eq4, "O13", (inv_f0 - p, z[0], z[1], 0.0), 3, -b_star - 0.5, -b_star + 0.5
-        )
-        checks.append(
-            PatternCheck(
-                "i3 chart: crossing at a generic l point", fam_l, -b_star, {"left": (0, 1), "right": (1, 0)}
-            )
-        )
-
-        # the double-degeneracy point: all four approach cones
-        def diag_family(sign):
-            def resolve(s):
-                return Problem(
-                    eq4,
-                    validate_bc(
-                        chart_matrix("O13", (inv_f0 + sign * s, 0.0, 0.0, sign * s))
-                    ),
-                )
-            return Family("chart-affine", (0.0, 0.8), resolve, label="cone path")
-
-        checks.append(
-            PatternCheck("i3 chart: double point from inside the r cone", diag_family(+1.0), 0.0, {"right": (2, 0)})
-        )
-        checks.append(
-            PatternCheck("i3 chart: double point from inside the l cone", diag_family(-1.0), 0.0, {"right": (0, 2)})
-        )
-        fam_on_r = chart_axis_family(
-            eq4, "O13", (0.0, 0.0, 0.0, 0.0), 0, inv_f0, inv_f0 + 0.8
-        )
-        checks.append(
-            PatternCheck("i3 chart: double point along the r set", fam_on_r, inv_f0, {"right": (1, 0)})
-        )
-        fam_on_l = chart_axis_family(
-            eq4, "O13", (0.0, 0.0, 0.0, 0.0), 0, inv_f0 - 0.8, inv_f0
-        )
-        checks.append(
-            PatternCheck("i3 chart: double point along the l set", fam_on_l, inv_f0, {"left": (0, 1)})
-        )
-        fam_minus = chart_axis_family(
-            eq4, "O13", (inv_f0, 0.0, 0.0, 0.0), 1, -0.5, 0.5
-        )
-        checks.append(
-            PatternCheck(
-                "i3 chart: double point from the minus side", fam_minus, 0.0,
-                {"left": (1, 1), "right": (1, 1)},
-            )
-        )
-        return checks
-
-    if name == "product-diagonal":
-        def resolve(nu):
-            eq = validate_equation(
-                [1.0 / (1.0 - nu), 1.3, 0.7, 1.9, 1.1],
-                [0.4, -0.3, 0.8, 0.1],
-                [1.2, 0.9, 1.5, 1.0],
-            )
-            bc = validate_bc(chart_matrix("O14", (1.0 + nu, z[0], z[1], 0.6)))
-            return Problem(eq, bc)
-
-        fam = Family("product-diagonal", (-0.5, 0.5), resolve, label="diagonal")
-        return [
-            PatternCheck(
-                "product space: diagonal crossing", fam, 0.0, {"left": (0, 1), "right": (1, 0)}
-            )
-        ]
-
-    if name == "separated-sweeps":
-        from .discontinuity import xi_of
-
-        xi = xi_of(eq4.f[0])
-        checks = []
-        beta0 = 1.9
-        fam_alpha = separated_angle_family(eq4, "alpha", beta0, 0.0, math.pi)
-        checks.append(
-            PatternCheck(
-                "separated: alpha sweep through the critical angle", fam_alpha, xi, {"left": (1, 0), "right": (0, 1)}
-            )
-        )
-        checks.append(
-            PatternCheck(
-                "separated: alpha wraparound limit", fam_alpha, math.pi, {"left": (0, 0)},
-                explicit_limit=Problem(eq4, separated_matrix(0.0, beta0)),
-            )
-        )
-        alpha0 = 0.7
-        fam_beta = separated_angle_family(eq4, "beta", alpha0, 0.0, math.pi)
-        checks.append(
-            PatternCheck(
-                "separated: beta to pi", fam_beta, math.pi, {"left": (0, 1)}
-            )
-        )
-        checks.append(
-            PatternCheck(
-                "separated: beta to 0", fam_beta, 0.0, {"right": (1, 0)},
-                explicit_limit=Problem(eq4, separated_matrix(alpha0, math.pi)),
-            )
-        )
-        fam_alpha_pi = separated_angle_family(eq4, "alpha", math.pi, 0.0, math.pi)
-        checks.append(
-            PatternCheck(
-                "separated: alpha sweep on the singular line", fam_alpha_pi, xi,
-                {"left": (1, 0), "right": (0, 1)},
-            )
-        )
-        fam_beta_xi = separated_angle_family(eq4, "beta", xi, 0.0, math.pi)
-        checks.append(
-            PatternCheck(
-                "separated: beta to pi at the critical alpha", fam_beta_xi, math.pi,
-                {"left": (0, 1)},
-            )
-        )
-        checks.append(
-            PatternCheck(
-                "separated: beta to 0 at the critical alpha", fam_beta_xi, 0.0,
-                {"right": (1, 0)},
-                explicit_limit=Problem(eq4, separated_matrix(xi, math.pi)),
-            )
-        )
-        return checks
-
-    if name == "coupled-sweep":
-        k12, k21, gamma = 0.8, -0.4, 0.9
-        t_star = eq4.f[0] * k12  # 0.64
-        fam = coupled_axis_family(
-            eq4, gamma, [[t_star, k12], [k21, (1.0 + k12 * k21) / t_star]],
-            "k11", t_star - 0.5, t_star + 0.5,
-        )
-        return [
-            PatternCheck(
-                "coupled: k11 sweep through the critical ratio", fam, t_star, {"left": (1, 0), "right": (0, 1)}
-            )
-        ]
-
-    raise KeyError(f"unknown asymptotic fixture {name!r}")
-
-
-ASYMPTOTIC_FIXTURES = (
-    "equation-crossing",
-    "chart-i4-crossing",
-    "chart-i3-crossing",
-    "product-diagonal",
-    "separated-sweeps",
-    "coupled-sweep",
-)
 
 
 @dataclass(frozen=True)

@@ -108,7 +108,7 @@ def test_stacked_roots_equal_row_by_row_bits(monkeypatch):
 def _per_point(family, grid_size):
     """values, counts and near flags of a trace grid, one eigenvalues call
     per point."""
-    grid = sk.tracing._grid_points(family, grid_size)
+    grid = family.grid(grid_size)
     spectra_ = []
     for nu in grid:
         try:
@@ -365,7 +365,6 @@ def test_tolerance_gap_limit_and_samples_equal_per_problem_solves():
     limit_values, (got,) = tracing._jump_values(limit, [samples])
     want = tuple(float(v) for v in _reference_values(limit, False) if abs(v) <= TOL.divergence)
     assert len(limit_values) == 11 and repr(limit_values) == repr(want)
-    assert repr(tracing._limit_values(limit)) == repr(want)
     assert repr(got) == repr([(h, _reference_values(p, True)) for h, p in samples])
 
 

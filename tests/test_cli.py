@@ -262,6 +262,31 @@ class TestSweepCommand:
         assert len(evs) == 1
         assert abs(evs[0]["nu"] - 1.0 / 3.0) < 1e-6
 
+    @pytest.mark.parametrize("fam_obj, nu_event", [
+        ({"kind": "chart-affine", "chart": "O14",
+          "from": [0.2, 0.4, -0.3, 0.1], "to": [1.8, 0.4, -0.3, 0.1],
+          "equation": {"f": [1, 1, 1], "q": [0, 0], "w": [1, 1]}}, 0.5),
+        ({"kind": "equation-affine",
+          "from": {"f": [2.0, 1, 1], "q": [0, 0], "w": [1, 1]},
+          "to": {"f": [0.5, 1, 1], "q": [0, 0], "w": [1, 1]},
+          "bc": {"matrix": [[[1, 0], [1, 0], [0, 0], [0, 0]],
+                            [[0, 0], [0, 0], [-1, 0], [1, 0]]]}}, 1.0 / 3.0),
+    ])
+    def test_affine_family_domain(self, tmp_path, fam_obj, nu_event):
+        """A domain narrows the grid of a line family; the parameter keeps
+        its meaning along the line."""
+        fam = write(tmp_path / "f.json", dict(fam_obj, domain=[0.25, 0.75]))
+        out_csv, events = tmp_path / "t.csv", tmp_path / "e.json"
+        assert main(
+            ["sweep", "-f", fam, "-n", "33", "-o", str(out_csv), "--events", str(events)]
+        ) == 0
+        with open(out_csv, newline="") as fh:
+            nus = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+        assert nus == np.linspace(0.25, 0.75, 33).tolist()
+        assert (nus[0], nus[-1]) == (0.25, 0.75)
+        evs = json.loads(events.read_text())
+        assert len(evs) == 1 and abs(evs[0]["nu"] - nu_event) < 1e-6
+
 
 class TestVerifyExample:
     @pytest.mark.parametrize("name", ["ex1.1", "ex2.1", "ex3.1"])

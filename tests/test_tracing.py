@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,7 +76,9 @@ class TestTrace:
         fam = builtin_family(name)
         calls = []
         resolve_fn = fam.resolve_fn
-        fam.resolve_fn = lambda nu: (calls.append(nu), resolve_fn(nu))[1]
+        fam = dataclasses.replace(
+            fam, resolve_fn=lambda nu: (calls.append(nu), resolve_fn(nu))[1]
+        )
         tr = sk.trace(fam, 64)
         assert tr.events
         grid = [float(nu) for nu in tr.grid]
@@ -90,9 +93,8 @@ class TestTrace:
             sk.trace(builtin_family("ex1.1"), 8)
 
     def test_refinement_tightens_continuity_bound(self):
-        fam = builtin_family("ex1.1")
-        fam.domain = (0.0, 2.0)  # smooth stretch, away from the jump
-        fam.right_open = False
+        # smooth stretch, away from the jump
+        fam = dataclasses.replace(builtin_family("ex1.1"), domain=(0.0, 2.0), right_open=False)
 
         def sup_step(n):
             tr = sk.trace(fam, n)
@@ -277,13 +279,14 @@ class TestZeroCountLimit:
         assert jc.left.consistent
 
     def test_wraparound_side_escapes_down(self):
-        from slpkit.tracing import _classify_side, _limit_values
+        from slpkit.tracing import _classify_sides
 
         eq = sk.validate_equation([1.3, 0.8, 1.1], [0.2, -0.4], [1.0, 1.5])
         xi = sk.xi_of(eq.f[0])
         fam = sk.separated_angle_family(eq, "beta", xi, 0.0, math.pi)
-        limit = _limit_values(sk.Problem(eq, sk.separated_matrix(xi, math.pi)))
-        side = _classify_side(fam, 0.0, "right", limit, 0.0, fam.span * 0.5)
+        limit = sk.Problem(eq, sk.separated_matrix(xi, math.pi))
+        _, sides = _classify_sides(fam, 0.0, limit, 0.0, {"right": fam.span * 0.5})
+        side = sides["right"]
         assert side.consistent
         assert (side.n_div_minus, side.n_div_plus) == (1, 0)
 
@@ -311,6 +314,13 @@ class TestFamilyResolution:
         i = int(np.argmin(np.abs(tr.grid - 0.5)))
         assert tr.counts[i] == -1
         assert all(c == 2 for j, c in enumerate(tr.counts) if j != i)
+
+    def test_family_is_frozen(self):
+        fam = builtin_family("ex1.1")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.domain = (0.0, 2.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fam.resolve_fn = fam.resolve
 
 
 class TestAsymptoticFixture:
