@@ -16,6 +16,7 @@ K real with det K = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,24 +28,32 @@ from .tolerances import TOL
 
 CHART_IDS = ("O13", "O14", "O23", "O24")
 
-# (column of the A block, column of the B block) forming the pivot
+# (column of the A block, column of the B block) forming the pivot, and the
+# two free columns, which read [[r1, conj(z)], [z, r2]] on the template
 _PIVOT_COLS = {"O13": (0, 2), "O14": (0, 3), "O23": (1, 2), "O24": (1, 3)}
+_FREE_COLS = {"O13": (1, 3), "O14": (1, 2), "O23": (0, 3), "O24": (0, 2)}
 
-# what the pivot block looks like on the template
+# what the pivot block looks like on the template (complex, so that the
+# template product needs no cast)
 _PIVOT_TARGET = {
-    "O13": np.array([[1.0, 0.0], [0.0, -1.0]]),
-    "O14": np.array([[1.0, 0.0], [0.0, 1.0]]),
-    "O23": np.array([[-1.0, 0.0], [0.0, -1.0]]),
-    "O24": np.array([[-1.0, 0.0], [0.0, 1.0]]),
+    "O13": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "O14": np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
+    "O23": np.array([[-1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "O24": np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
 }
 
-# positions (row, col) of: first real coordinate, z, conj(z), second real
-_READOUT = {
-    "O13": ((0, 1), (1, 1), (0, 3), (1, 3)),
-    "O14": ((0, 1), (1, 1), (0, 2), (1, 2)),
-    "O23": ((0, 0), (1, 0), (0, 3), (1, 3)),
-    "O24": ((0, 0), (1, 0), (0, 2), (1, 2)),
-}
+
+def _fmax(*values):
+    """``max(*values)`` elementwise over arrays; like ``max``, it skips a
+    NaN after the first value."""
+    return functools.reduce(np.fmax, values)
+
+
+def _modulus(z):
+    """``abs`` of every element of a complex array as ``abs`` of a complex
+    scalar computes it, the hypot of its parts; ``np.abs`` of an array may
+    round differently."""
+    return np.hypot(z.real, z.imag)
 
 
 @dataclass(frozen=True)
@@ -89,9 +98,44 @@ def chart_matrix(chart: str, coords) -> np.ndarray:
     raise KeyError(f"unknown chart {chart!r}")
 
 
-def _pivot_block(matrix: np.ndarray, chart: str) -> np.ndarray:
-    i, j = _PIVOT_COLS[chart]
-    return matrix[:, (i, j)]
+def _columns(matrices: np.ndarray, cols: tuple) -> np.ndarray:
+    """Columns i < j of a 2x4 matrix, or of every matrix of a (n, 2, 4)
+    stack, as a view."""
+    i, j = cols
+    return matrices[..., i : j + 1 : j - i]
+
+
+def _pivot_test(blocks: np.ndarray, scale) -> tuple:
+    """The smallest singular value of a pivot block, or of every block of a
+    stack in one SVD, and whether the block is invertible relative to the
+    representative's scale."""
+    # .T puts the trailing axis first, for one block and for a stack alike
+    sigma_min = np.linalg.svd(blocks, compute_uv=False).T[-1]
+    return sigma_min, sigma_min > TOL.rank * scale
+
+
+def _template_readout(blocks: np.ndarray, matrices: np.ndarray, chart: str) -> tuple:
+    """Left-multiply a representative, or every one of a stack, so that its
+    pivot block matches the chart template, and read off its coordinates.
+    A stack takes one inversion and one template product; numpy's stacked
+    LAPACK and BLAS calls run the one-matrix routine on every matrix, and
+    the readout is elementwise, so every row carries the bits of a
+    one-matrix call.
+
+    Returns ``((r1, Re z, Im z, r2), drift, unreliable)``, each entry a
+    number, or an array over the stack computed elementwise alike."""
+    largest, modulus = (max, abs) if matrices.ndim == 2 else (_fmax, _modulus)
+    nm = _PIVOT_TARGET[chart] @ np.linalg.inv(blocks) @ matrices
+    # .T puts the matrix axes first: [j, i] is entry (i, j) of one matrix,
+    # or of every matrix of a stack
+    free = _columns(nm, _FREE_COLS[chart]).T
+    r1, z, zc, r2 = free[0, 0], free[0, 1], free[1, 0].conjugate(), free[1, 1]
+    mid = 0.5 * (z + zc)
+    drift = largest(modulus(z - zc), abs(r1.imag), abs(r2.imag))
+    # validated inputs keep the drift near rounding level unless the pivot
+    # block is so ill-conditioned that the coordinates are meaningless
+    unreliable = drift > 1e-6 * largest(1.0, np.abs(nm).max(axis=(-2, -1)))
+    return (r1.real, mid.real, mid.imag, r2.real), drift, unreliable
 
 
 def normalize_to_chart(bc: BoundaryCondition, chart: str) -> ChartCoordinates:
@@ -104,42 +148,42 @@ def normalize_to_chart(bc: BoundaryCondition, chart: str) -> ChartCoordinates:
     if chart not in CHART_IDS:
         raise KeyError(f"unknown chart {chart!r}")
     m = bc.matrix
-    scale = bc.scale
-    block = _pivot_block(m, chart)
-    s = np.linalg.svd(block, compute_uv=False)
-    if s[-1] <= TOL.rank * scale:
-        raise NotInChart(f"pivot block for {chart} is singular (sigma_min={s[-1]:.3e})")
-    t = _PIVOT_TARGET[chart] @ np.linalg.inv(block)
-    nm = t @ m
-    (p1, pz, pzc, p2) = _READOUT[chart]
-    z = 0.5 * (nm[pz] + nm[pzc].conjugate())
-    drift = max(
-        abs(nm[pz] - nm[pzc].conjugate()),
-        abs(nm[p1].imag),
-        abs(nm[p2].imag),
-    )
-    # validated inputs keep the drift near rounding level unless the pivot
-    # block is so ill-conditioned that the coordinates are meaningless
-    if drift > 1e-6 * max(1.0, float(np.abs(nm).max())):
+    block = _columns(m, _PIVOT_COLS[chart])
+    sigma_min, covered = _pivot_test(block, bc.scale)
+    if not covered:
+        raise NotInChart(f"pivot block for {chart} is singular (sigma_min={sigma_min:.3e})")
+    coords, drift, unreliable = _template_readout(block, m, chart)
+    if unreliable:
         raise NotInChart(
             f"normalization to {chart} is numerically unreliable (drift {drift:.3e})"
         )
-    return ChartCoordinates(
-        chart, (float(nm[p1].real), float(z.real), float(z.imag), float(nm[p2].real))
-    )
+    return ChartCoordinates(chart, tuple(map(float, coords)))
+
+
+def _normalize_stack(matrices: np.ndarray, scales, chart: str) -> tuple:
+    """:func:`normalize_to_chart` of every representative of a (n, 2, 4)
+    stack with scales ``scales``, in one SVD, one inversion and one template
+    product.  Returns the coordinates (r1, Re z, Im z, r2) as four arrays,
+    and a mask of the rows for which ``normalize_to_chart`` returns them
+    rather than raising NotInChart."""
+    blocks = _columns(matrices, _PIVOT_COLS[chart])
+    _, covered = _pivot_test(blocks, scales)
+    if not covered.all():
+        # an identity in place of a singular pivot block keeps the stack
+        # invertible; its row is rejected anyway
+        blocks = np.where(covered[:, None, None], blocks, np.eye(2))
+    coords, _, unreliable = _template_readout(blocks, matrices, chart)
+    return coords, covered & ~unreliable
 
 
 def covering_charts(bc: BoundaryCondition) -> frozenset:
     """Chart ids whose pivot block is invertible for this condition; the
     four charts form an atlas, so the result is never empty."""
     m = bc.matrix
-    scale = bc.scale
-    out = set()
-    for chart in CHART_IDS:
-        s = np.linalg.svd(_pivot_block(m, chart), compute_uv=False)
-        if s[-1] > TOL.rank * scale:
-            out.add(chart)
-    return frozenset(out)
+    return frozenset(
+        chart for chart in CHART_IDS
+        if _pivot_test(_columns(m, _PIVOT_COLS[chart]), bc.scale)[1]
+    )
 
 
 def row_span_distance(m1, m2) -> float:

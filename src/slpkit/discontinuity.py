@@ -16,9 +16,13 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .charts import (
     CHART_IDS,
     Separated,
+    _fmax,
+    _normalize_stack,
     c_point_matrix,
     canonical_form,
     normalize_to_chart,
@@ -54,10 +58,38 @@ class ChartTest:
     r2_tol: float = 0.0
 
 
+def _test_fields(chart: str, r1, zr, zi, r2, f0) -> dict:
+    """The :class:`ChartTest` fields of one chart by name, from the chart
+    coordinates and f_0: floats for one problem, or arrays over a stack of
+    problems, whose elements carry the bits of the float arithmetic."""
+    largest = _fmax if isinstance(r1, np.ndarray) else max
+    inv_f0 = 1.0 / f0
+    zsq = zr * zr + zi * zi
+    if chart == "O14":
+        return {
+            "residual": r1 - inv_f0,
+            "tol": TOL.set_membership * largest(1.0, abs(r1), abs(inv_f0)),
+        }
+    if chart == "O24":
+        return {
+            "residual": r1 + f0,
+            "tol": TOL.set_membership * largest(1.0, abs(r1), abs(f0)),
+        }
+    p = (r1 - inv_f0) if chart == "O13" else (r1 + f0)
+    other = inv_f0 if chart == "O13" else f0
+    return {
+        "residual": p * r2 - zsq,
+        "tol": TOL.set_membership * largest(1.0, abs(p * r2), zsq),
+        "p": p,
+        "r2": r2,
+        "p_tol": TOL.set_membership * largest(1.0, abs(r1), abs(other)),
+        "r2_tol": TOL.set_membership * largest(1.0, abs(r2)),
+    }
+
+
 def _chart_tests(bc: BoundaryCondition, f0: float, charts=CHART_IDS) -> dict:
     """The tests of the listed charts that cover ``bc``, by chart id; each
     chart's test is computed on its own."""
-    inv_f0 = 1.0 / f0
     out = {}
     for chart in charts:
         try:
@@ -66,30 +98,24 @@ def _chart_tests(bc: BoundaryCondition, f0: float, charts=CHART_IDS) -> dict:
             # chart does not cover bc, or its pivot block is so marginally
             # invertible that the coordinates are unreliable
             continue
-        r1, zr, zi, r2 = coords
-        zsq = zr * zr + zi * zi
-        if chart == "O14":
-            res = r1 - inv_f0
-            tol = TOL.set_membership * max(1.0, abs(r1), abs(inv_f0))
-            out[chart] = ChartTest(chart, res, tol)
-        elif chart == "O24":
-            res = r1 + f0
-            tol = TOL.set_membership * max(1.0, abs(r1), abs(f0))
-            out[chart] = ChartTest(chart, res, tol)
-        else:
-            p = (r1 - inv_f0) if chart == "O13" else (r1 + f0)
-            other = inv_f0 if chart == "O13" else f0
-            res = p * r2 - zsq
-            tol = TOL.set_membership * max(1.0, abs(p * r2), zsq)
-            out[chart] = ChartTest(
-                chart,
-                res,
-                tol,
-                p=p,
-                r2=r2,
-                p_tol=TOL.set_membership * max(1.0, abs(r1), abs(other)),
-                r2_tol=TOL.set_membership * max(1.0, abs(r2)),
-            )
+        out[chart] = ChartTest(chart, **_test_fields(chart, *coords, f0))
+    return out
+
+
+def _chart_test_stack(problems: list) -> dict:
+    """Every chart's test of every problem, with one stacked normalization
+    per chart: by chart id, the :class:`ChartTest` fields by name as arrays
+    over ``problems``, the residual NaN where :func:`_chart_tests` leaves
+    the chart out.  Every element carries the bits of ``_chart_tests``."""
+    matrices = np.array([p.bc.matrix for p in problems]).reshape(-1, 2, 4)
+    scales = np.array([p.bc.scale for p in problems])
+    f0 = np.array([p.equation.f[0] for p in problems])
+    out = {}
+    for chart in CHART_IDS:
+        coords, accepted = _normalize_stack(matrices, scales, chart)
+        fields = _test_fields(chart, *coords, f0)
+        fields["residual"] = np.where(accepted, fields["residual"], np.nan)
+        out[chart] = fields
     return out
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .charts import c_point_matrix, row_span_distance
+from .charts import _fmax, c_point_matrix, row_span_distance
 from .errors import DegreeMismatch, NonRealRoot
 from .model import Equation, Problem
 from .tolerances import TOL
@@ -141,14 +141,41 @@ def leading_coefficients(eq: Equation) -> tuple:
 def c_matrix(bc) -> np.ndarray:
     """The 2x2 weight matrix combining the boundary blocks with the
     fundamental solutions: transpose(B) times transpose(adj(A))."""
-    a, b = bc.A, bc.B
-    first = np.array([[b[0, 0], b[1, 0]], [b[0, 1], b[1, 1]]])
-    second = np.array([[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]])
+    return _c_matrices(bc.matrix)
+
+
+def _c_matrices(matrices: np.ndarray) -> np.ndarray:
+    """:func:`c_matrix` of a 2x4 representative, or of every one of a
+    (n, 2, 4) stack in one matmul."""
+    a, b = matrices[..., :2], matrices[..., 2:]
+    first = np.ascontiguousarray(b.swapaxes(-1, -2))
+    # [[a22, a21], [a12, a11]], then the off-diagonal negated
+    second = np.ascontiguousarray(a[..., ::-1, ::-1])
+    for off in (second[..., 0, 1], second[..., 1, 0]):
+        np.negative(off, out=off)
     return first @ second
 
 
 def _det2(m) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+
+
+def _char_poly_rows(fs: FundamentalSolutions, matrices: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Characteristic-polynomial coefficients of the equation with
+    fundamental solutions ``fs`` and each boundary matrix of a (k, 2, 4)
+    stack, whose c matrices are ``c``, one row each."""
+    boundary = np.array(
+        [fs.phi_N.coeffs, fs.psi_N.coeffs, fs.fdphi_N.coeffs, fs.fdpsi_N.coeffs], dtype=complex
+    )
+    terms = c.reshape(-1, 4, 1) * boundary  # c_11 phi, c_12 psi, c_21 fdphi, c_22 fdpsi
+    coeffs = np.zeros((len(matrices), boundary.shape[1]), dtype=complex)
+    for j in range(4):
+        coeffs += terms[:, j]
+    # scalar products: array complex products may round differently (fused
+    # multiply-add), which would move the last bit of the constant term
+    for row, m in zip(coeffs, matrices):
+        row[0] += _det2(m[:, :2]) + _det2(m[:, 2:])
+    return coeffs
 
 
 def char_poly(problem: Problem) -> Polynomial:
@@ -158,53 +185,48 @@ def char_poly(problem: Problem) -> Polynomial:
     Changing the representative by an invertible T rescales the polynomial
     by det T, so its zeros are representative-independent.
     """
-    eq = problem.equation
-    fs = fundamental_solutions(eq)
-    c = c_matrix(problem.bc)
-    coeffs = np.zeros(eq.N + 1, dtype=complex)
-    coeffs += c[0, 0] * fs.phi_N.coeffs
-    coeffs += c[0, 1] * fs.psi_N.coeffs
-    coeffs += c[1, 0] * fs.fdphi_N.coeffs
-    coeffs += c[1, 1] * fs.fdpsi_N.coeffs
-    coeffs[0] += _det2(problem.bc.A) + _det2(problem.bc.B)
-    return Polynomial(coeffs)
+    m = problem.bc.matrix[None]
+    fs = fundamental_solutions(problem.equation)
+    return Polynomial(_char_poly_rows(fs, m, _c_matrices(m))[0])
 
 
 def rank_matrix(problem: Problem) -> np.ndarray:
     """The 2x2 matrix whose rank fixes the eigenvalue count."""
-    a, b = problem.bc.A, problem.bc.B
-    f0 = problem.equation.f[0]
-    return np.array(
-        [
-            [-a[0, 0] + f0 * a[0, 1], b[0, 1]],
-            [-a[1, 0] + f0 * a[1, 1], b[1, 1]],
-        ]
-    )
+    return _rank_matrices(problem.bc.matrix, problem.equation.f[0])
 
 
-def _rank_input_scale(problem: Problem) -> float:
+def _rank_matrices(matrices: np.ndarray, f0) -> np.ndarray:
+    """:func:`rank_matrix` of a 2x4 representative with its f_0, or of every
+    one of a (n, 2, 4) stack with an array of f_0."""
+    out = matrices[..., 1::2].copy()  # [a_i2, b_i2]
+    out[..., 0] *= np.asarray(f0)[..., None]
+    out[..., 0] -= matrices[..., 0]  # bit for bit -a_i1 + f_0 a_i2
+    return out
+
+
+def _rank_input_scale(matrices: np.ndarray, f0):
     """Magnitude bound on the rank-matrix entries from their inputs: the
     entries are -a_i1 + f_0 a_i2 and b_i2, so the bound tracks each column
     separately.  Measuring ranks against this (rather than the matrix's own
     largest singular value) keeps exactly degenerate problems with rounding
     residue at low rank without drowning honest small entries when f_0 is
-    extreme."""
-    a, b = problem.bc.A, problem.bc.B
-    f0 = problem.equation.f[0]
-    return max(
-        float(np.max(np.abs(a[:, 0]))),
-        abs(f0) * float(np.max(np.abs(a[:, 1]))),
-        float(np.max(np.abs(b[:, 1]))),
-    )
+    extreme.  One representative, or a stack as :func:`_rank_matrices`."""
+    largest = max if matrices.ndim == 2 else _fmax
+    mags = np.abs(matrices).max(axis=-2)  # of each column of [A | B]
+    return largest(mags[..., 0], abs(f0) * mags[..., 1], mags[..., 3])
+
+
+def _ranks(matrices: np.ndarray, f0):
+    """:func:`rank_r` of one representative, or of every one of a stack in
+    one SVD, as :func:`_rank_matrices`."""
+    s = np.linalg.svd(_rank_matrices(matrices, f0), compute_uv=False)
+    scale = np.asarray(_rank_input_scale(matrices, f0))
+    return np.where(scale == 0.0, 0, (s > TOL.rank * scale[..., None]).sum(axis=-1))
 
 
 def rank_r(problem: Problem) -> int:
     """Numerical rank (0, 1, or 2) of :func:`rank_matrix`."""
-    s = np.linalg.svd(rank_matrix(problem), compute_uv=False)
-    scale = _rank_input_scale(problem)
-    if scale == 0.0:
-        return 0
-    return int(np.sum(s > TOL.rank * scale))
+    return int(_ranks(problem.bc.matrix, problem.equation.f[0]))
 
 
 def _theta_bracket(problem: Problem) -> complex:
@@ -401,16 +423,16 @@ def eigenvalues(problem: Problem) -> Spectrum:
 
 
 def eigenvalues_many(problems) -> list:
-    """:func:`eigenvalues` of every problem, with one root solve per
-    degree: a list holding each problem's Spectrum, or the exception that
+    """:func:`eigenvalues` of every problem, with the count data of all
+    problems in stacks (:func:`_count_data`) and one root solve per degree:
+    a list holding each problem's Spectrum, or the exception that
     ``eigenvalues`` raises for it.  Each spectrum carries the same bits as
     a separate ``eigenvalues`` call."""
     results: list = [None] * len(problems)
     prepared: dict = {}  # index -> (gamma, r, expected) of a problem to solve
     groups: dict = {}  # degree -> indices of the problems to solve
-    for i, problem in enumerate(problems):
-        gamma = char_poly(problem)
-        r = rank_r(problem)
+    gammas, ranks = _count_data(problems)
+    for i, (problem, gamma, r) in enumerate(zip(problems, gammas, ranks.tolist())):
         expected = problem.equation.N - 2 + r
         degree = gamma.degree()
         if degree != expected:
@@ -428,6 +450,30 @@ def eigenvalues_many(problems) -> list:
         except NonRealRoot as exc:
             results[i] = exc
     return results
+
+
+def _count_data(problems) -> tuple:
+    """The characteristic polynomials and ``rank_r`` of a list of problems:
+    one SVD for all rank matrices, one matmul for all c matrices and one
+    coefficient combination per set of fundamental solutions, looked up
+    per problem as ``char_poly`` does.  Each carries the bits of
+    :func:`char_poly` and :func:`rank_r`."""
+    if len(problems) == 1:  # nothing to stack
+        return [char_poly(problems[0])], np.array([rank_r(problems[0])])
+    matrices = np.array([p.bc.matrix for p in problems]).reshape(-1, 2, 4)
+    ranks = _ranks(matrices, np.array([p.equation.f[0] for p in problems]))
+    c = _c_matrices(matrices)
+    # problems that share an equation share its (cached) fundamental solutions
+    groups: dict = {}  # id -> (fundamental solutions, indices of their problems)
+    for i, problem in enumerate(problems):
+        fs = fundamental_solutions(problem.equation)
+        groups.setdefault(id(fs), (fs, []))[1].append(i)
+    gammas: list = [None] * len(problems)
+    for fs, members in groups.values():
+        rows = members if len(groups) > 1 else slice(None)  # no gather for one
+        for i, coeffs in zip(members, _char_poly_rows(fs, matrices[rows], c[rows])):
+            gammas[i] = Polynomial(coeffs)
+    return gammas, ranks
 
 
 def _finish_spectrum(problem: Problem, gamma: Polynomial, r: int, expected: int,

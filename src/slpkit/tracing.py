@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charts import CHART_IDS
-from .discontinuity import _chart_tests
+from .discontinuity import _chart_test_stack, _chart_tests
 from .errors import DegreeMismatch, FamilyNotAxisAligned, PatternMismatch, UnresolvableFamily
 from .families import Family
 from .fixtures import PatternCheck, _asymptotic_checks
@@ -72,10 +71,9 @@ def _spectra_or_none(problems: list) -> list:
 
 @dataclass(frozen=True)
 class _Point:
-    """One evaluation of a family: the resolved problem and its chart tests
-    by chart id.  Every detector reads the same record, so a grid parameter
-    is resolved once; its spectrum is solved where a count is needed.  A
-    refinement point carries only the test of the chart being refined."""
+    """One refinement evaluation of a family: the resolved problem and the
+    test of the chart being refined, by chart id (empty where the chart
+    does not cover the problem)."""
 
     problem: Problem
     tests: dict
@@ -89,16 +87,11 @@ def _test_value(point: _Point | None, chart: str, coord: str) -> float | None:
     return getattr(test, coord) if test is not None else None
 
 
-def _evaluate(family: Family, nu: float, charts=CHART_IDS) -> _Point:
-    problem = family.resolve(nu)
-    return _Point(problem, _chart_tests(problem.bc, problem.equation.f[0], charts))
-
-
-def _grid_point(family: Family, nu: float) -> _Point | None:
-    """The point at a grid parameter; None where the family is unresolvable
-    at one of its flagged parameters."""
+def _grid_problem(family: Family, nu: float) -> Problem | None:
+    """The problem at a grid parameter; None where the family is
+    unresolvable at one of its flagged parameters."""
     try:
-        return _evaluate(family, nu)
+        return family.resolve(nu)
     except UnresolvableFamily:
         if any(abs(nu - fl) <= 1e-9 * max(1.0, abs(nu)) for fl in family.flagged):
             return None
@@ -189,9 +182,13 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
     grid = family.grid(grid_size)
     span = family.span
 
-    points = [_grid_point(family, nu) for nu in grid]
-    solved = iter(_spectra_or_none([p.problem for p in points if p is not None]))
-    spectra = [next(solved) if p is not None else None for p in points]
+    # every grid parameter is resolved first, then every chart test and
+    # spectrum of the grid is computed in stacks
+    problems = [_grid_problem(family, nu) for nu in grid]
+    rows = [i for i, p in enumerate(problems) if p is not None]
+    resolved = [problems[i] for i in rows]
+    solved = iter(_spectra_or_none(resolved))
+    spectra = [next(solved) if p is not None else None for p in problems]
     counts = np.array([s.predicted_count if s is not None else -1 for s in spectra])
     near = np.array([bool(s.near_singular) if s is not None else True for s in spectra])
 
@@ -246,9 +243,10 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
         """The point at a refinement parameter, with the test of the one
         chart being refined; None where unresolvable."""
         try:
-            return _evaluate(family, nu, (chart,))
+            problem = family.resolve(nu)
         except UnresolvableFamily:
             return None
+        return _Point(problem, _chart_tests(problem.bc, problem.equation.f[0], (chart,)))
 
     def refined_sign_change(chart, coord, i, v_lo, v_hi, kind, count_left=None,
                             count_right=None):
@@ -269,11 +267,13 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             and abs(v_mid) <= 1e-6 * max(abs(v_lo), abs(v_hi)),
         )
 
-    charts_seen = sorted({c for p in points if p is not None for c in p.tests})
-    for chart in charts_seen:
-        tests = [p.tests.get(chart) if p is not None else None for p in points]
-        res = np.array([t.residual if t is not None else np.nan for t in tests])
-        tols = np.array([t.tol if t is not None else np.nan for t in tests])
+    for chart, stacked in _chart_test_stack(resolved).items():
+        # the test fields over the grid, NaN where the family is unresolvable
+        fields = {}
+        for name, column in stacked.items():
+            fields[name] = np.full(grid_size, np.nan)
+            fields[name][rows] = column
+        res, tols = fields["residual"], fields["tol"]
         live = ~np.isnan(res)
         on_set = live & (np.abs(res) <= tols)
         # transversal crossings: a genuine sign change between two points
@@ -316,14 +316,12 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
         if chart not in ("O13", "O23"):
             continue
         for coord, coord_tol in (("p", "p_tol"), ("r2", "r2_tol")):
+            cone, cone_tol = fields[coord], fields[coord_tol]
             for i in range(grid_size - 1):
-                ti, tj = tests[i], tests[i + 1]
-                if ti is None or tj is None:
-                    continue
                 if not (on_set[i] and on_set[i + 1]):
                     continue
-                vi, vj = getattr(ti, coord), getattr(tj, coord)
-                if abs(vi) <= getattr(ti, coord_tol) or abs(vj) <= getattr(tj, coord_tol):
+                vi, vj = cone[i], cone[i + 1]
+                if abs(vi) <= cone_tol[i] or abs(vj) <= cone_tol[i + 1]:
                     continue
                 if (vi > 0) != (vj > 0):
                     candidates.append(refined_sign_change(chart, coord, i, vi, vj, "cone"))
