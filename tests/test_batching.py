@@ -15,16 +15,17 @@ from numpy.polynomial import polynomial as npoly
 
 from slpkit.spectra import _aberth_roots, eigenvalues_many
 
-from conftest import random_coupled, random_equation, random_separated
+from conftest import random_bc, random_coupled, random_equation, random_separated
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def _reference_roots(coeffs):
-    """The one-row Aberth-Ehrlich loop that the batched kernel reproduces:
-    the same start circle, cap, stopping test and Newton polish."""
+def _capped_reference_roots(coeffs):
+    """The one-row Aberth-Ehrlich loop that the kernel ran before its
+    residual test: start circle 1 + max|c_k|, the step test alone, the
+    200-iteration cap and two Newton polishes."""
     monic = coeffs / coeffs[-1]
     d = len(monic) - 1
     if d == 0:
@@ -57,6 +58,54 @@ def _reference_roots(coeffs):
     return z
 
 
+def _reference_roots(coeffs, exits=None):
+    """The one-row Aberth-Ehrlich loop that the batched kernel reproduces:
+    the same Fujiwara start circle, residual and step tests, cap and Newton
+    polish.  ``exits`` collects what stopped the loop: "step" when the step
+    test holds, else "residual" or "cap"."""
+    monic = coeffs / coeffs[-1]
+    d = len(monic) - 1
+    if d == 0:
+        return np.zeros(0, dtype=complex)
+    if d == 1:
+        return np.array([-monic[0]], dtype=complex)
+    dmonic = npoly.polyder(monic)
+    k = np.arange(d)
+    radius = 2.0 * float((np.abs(monic[:-1]) ** (1.0 / (d - k))).max())
+    if not radius > 0.0:
+        radius = 1.0
+    z = radius * np.exp(2j * np.pi * (k + 0.35) / d)
+    exit = "cap"
+    for _ in range(200):
+        p = npoly.polyval(z, monic)
+        dp = npoly.polyval(z, dmonic)
+        scale = npoly.polyval(np.abs(z), np.abs(monic))
+        converged = bool(np.all(np.abs(p) <= 8 * np.finfo(float).eps * scale))
+        dp = np.where(np.abs(dp) > 0.0, dp, 1e-300)
+        ratio = p / dp
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        s = np.sum(1.0 / diff, axis=1)
+        denom = 1.0 - ratio * s
+        denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
+        step = ratio / denom
+        z = z - step
+        if float(np.abs(step).max()) <= 1e-15 * (1.0 + float(np.abs(z).max())):
+            exit = "step"
+        elif converged:
+            exit = "residual"
+        if exit != "cap":
+            break
+    if exits is not None:
+        exits.append(exit)
+    for _ in range(2):
+        p = npoly.polyval(z, monic)
+        dp = npoly.polyval(z, dmonic)
+        step = np.where(np.abs(dp) > 0.0, p / np.where(np.abs(dp) > 0.0, dp, 1.0), 0.0)
+        z = z - step
+    return z
+
+
 def _char_poly_rows(rng):
     """Trimmed characteristic polynomials of seeded problems, by degree:
     C-point problems give degree 0, beta = pi gives N - 1, generic
@@ -80,7 +129,12 @@ def test_stacked_roots_equal_row_by_row_bits(monkeypatch):
     rows = _char_poly_rows(np.random.default_rng(606))
     assert sorted(rows) == list(range(13))
 
+    # a NaN coefficient keeps a row from converging: it runs to the cap
+    nan_row = rows[12][0].copy()
+    nan_row[3] = np.nan
+    rows[12].insert(1, nan_row)
     passes = []  # Horner passes of each single-row solve
+    exits = []  # the test that stopped each reference loop
     horner = spectra._horner_pair
 
     def counting(*args):
@@ -98,11 +152,97 @@ def test_stacked_roots_equal_row_by_row_bits(monkeypatch):
                     alone = _aberth_roots(row)
                 assert alone.shape == (degree,)
                 assert np.array_equal(_bits(alone), _bits(got))
-                assert np.array_equal(_bits(alone), _bits(_reference_roots(row)))
+                assert np.array_equal(_bits(alone), _bits(_reference_roots(row, exits)))
     # a capped row makes 200 iteration passes and 2 polishing passes;
     # degrees 0 and 1 are closed-form and make none
     assert any(0 < p < 202 for p in passes), "no row stopped early"
-    assert any(p == 202 for p in passes), "no row reached the iteration cap"
+    assert [p for p in passes if p >= 202] == [202], "only the NaN row reaches the cap"
+    assert "residual" in exits, "no row stopped on the residual test"
+    assert exits.count("cap") == 1
+
+
+def test_capped_row_becomes_nonreal_root(monkeypatch):
+    """A row that runs to the cap leaves NaN roots, which eigenvalues_many
+    reports as NonRealRoot without touching its batch mates."""
+    family = _sweep_n12_family(1)
+    # the middle point sits on the set: a degree-11 stack of its own
+    problems = [family.resolve(float(nu)) for nu in family.grid(5)]
+    want = [sk.eigenvalues(p).values() for p in problems]
+    kernel = spectra._aberth_roots
+
+    def poisoned(stack):
+        if len(stack) > 1:  # the degree-12 rows of problems 0, 1, 3 and 4
+            stack = stack.copy()
+            stack[1, 3] = np.nan
+        return kernel(stack)
+
+    monkeypatch.setattr(spectra, "_aberth_roots", poisoned)
+    with np.errstate(all="ignore"):
+        results = eigenvalues_many(problems)
+    assert isinstance(results[1], NonRealRoot) and math.isnan(results[1].root.real)
+    for i in (0, 2, 3, 4):
+        assert np.array_equal(_bits(results[i].values()), _bits(want[i]))
+
+
+def test_zero_polynomial_rows_give_zero_roots():
+    """z^d has Fujiwara bound 0; its start circle falls back to radius 1."""
+    for d in range(2, 13):
+        row = np.zeros(d + 1)
+        row[-1] = 2.0
+        roots = _aberth_roots(row)
+        assert roots.shape == (d,) and np.all(np.isfinite(roots))
+        assert np.abs(roots).max() <= 1e-14
+        assert np.array_equal(_bits(roots), _bits(_reference_roots(row)))
+
+
+def test_sweep_n12_grid_rows_stop_early(monkeypatch):
+    """No degree-12 row of the benchmark's seed-1 sweep-n12 grid reaches the
+    cap; the median row stops within 40 Horner passes."""
+    family = _sweep_n12_family(1)
+    rows = [sk.char_poly(family.resolve(float(nu))).trimmed().coeffs for nu in family.grid(256)]
+    assert {len(row) - 1 for row in rows} == {12}
+    passes = []
+    horner = spectra._horner_pair
+
+    def counting(*args):
+        passes[-1] += 1
+        return horner(*args)
+
+    monkeypatch.setattr(spectra, "_horner_pair", counting)
+    for row in rows:
+        passes.append(0)
+        _aberth_roots(row)
+    assert max(passes) < 202
+    assert np.median(passes) <= 40
+
+
+def _corpus(rng):
+    """Seeded N <= 12 problems: separated, coupled and chart conditions,
+    twisted or not, and problems exactly on a discontinuity set."""
+    problems = []
+    for n in range(2, 13):
+        for kind in ("separated", "coupled", "chart"):
+            for twist in (False, True):
+                problems.append(sk.Problem(random_equation(rng, n), random_bc(rng, kind, twist)))
+        eq = random_equation(rng, n, mixed_signs=False)
+        xi = sk.xi_of(eq.f[0])
+        for alpha, beta in ((xi, math.pi), (rng.uniform(0.1, 3.0), math.pi), (xi, 1.0)):
+            problems.append(sk.Problem(eq, sk.separated_matrix(alpha, beta)))
+    return problems
+
+
+def test_spectra_stay_within_1e8_of_the_capped_iteration(monkeypatch):
+    problems = _corpus(np.random.default_rng(1414))
+    got = [sk.eigenvalues(p) for p in problems]
+    monkeypatch.setattr(
+        spectra, "_aberth_roots",
+        lambda stack: np.array([_capped_reference_roots(row) for row in stack]),
+    )
+    for g, w in zip(got, map(sk.eigenvalues, problems)):
+        assert g.predicted_count == w.predicted_count
+        assert [m for _, m in g.eigenvalues] == [m for _, m in w.eigenvalues]
+        for (a, _), (b, _) in zip(g.eigenvalues, w.eigenvalues):
+            assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
 
 def _per_point(family, grid_size):
