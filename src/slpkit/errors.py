@@ -61,9 +61,13 @@ class DegreeMismatch(SLPError):
 
 
 class NonRealRoot(SLPError):
-    def __init__(self, root: complex):
+    """The spectrum cannot be certified real: the reduced pencil's boundary
+    block departs from Hermitian by the relative residue ``root`` (see
+    ``TOL.real_root``; NaN where the pencil is not finite)."""
+
+    def __init__(self, root: float):
         self.root = root
-        super().__init__(f"root {root} of the characteristic polynomial is not real")
+        super().__init__(f"pencil is not Hermitian: anti-Hermitian residue {root}")
 
 
 class IllConditioned(SLPError):

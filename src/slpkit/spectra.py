@@ -1,22 +1,26 @@
-"""Characteristic polynomial, eigenvalue count, and eigenvalue computation.
+"""Eigenvalue count, characteristic polynomial, and eigenvalues from the
+reduced Hermitian pencil.
 
-The fundamental solutions of the difference equation with initial data
-(1, 0) and (0, 1) in the (value, quasi-derivative) coordinates are
-polynomials in the spectral parameter; running the equation's first-order
-form in polynomial arithmetic yields their values at the right endpoint.
-Combining those four boundary polynomials with the boundary-condition
-matrix gives the characteristic polynomial, whose real zeros (with
-multiplicity) are exactly the eigenvalues.  The number of eigenvalues is
-N - 2 + r where r is the rank of a 2x2 matrix built from the boundary
-condition and f_0; equivalently, it is the degree of the characteristic
-polynomial.
+The number of eigenvalues is N - 2 + r, where r is the rank of a 2x2
+matrix built from the boundary condition and f_0.  The eigenvalues come
+from a Hermitian matrix of exactly that size: the boundary rows express
+the endpoint values y_0 and y_{N+1} through y_1 and y_N where they can
+(r of them), which adds a corner to the tridiagonal difference operator,
+and the other 2 - r rows constrain (y_1, y_N), whose null space the
+operator is projected onto.
+
+The characteristic polynomial, built from the fundamental solutions of the
+difference equation in polynomial arithmetic, has these eigenvalues as its
+real zeros.  It decides no eigenvalue; it gates the count: where its
+trimmed degree disagrees with N - 2 + r the problem sits in the tolerance
+gap next to a discontinuity set, and a relatively tiny leading coefficient
+flags a near-singular problem.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +30,6 @@ from .charts import _fmax, c_point_matrix, row_span_distance
 from .errors import DegreeMismatch, NonRealRoot
 from .model import Equation, Problem
 from .tolerances import TOL
-
-# Aberth's residual test: |p(z)| within this multiple of the rounding error
-# bound eps * p~(|z|) of evaluating p by Horner, p~ having the coefficient
-# moduli (Bini 1996).  The factor is not tuned: 2 or 64 in place of 8 stop
-# a few rows one pass earlier or later, with the same median and maximum.
-_ROUNDING = 8 * np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,9 +60,6 @@ class Polynomial:
 
     def __call__(self, x):
         return npoly.polyval(x, self.coeffs)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(npoly.polyder(self.coeffs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +288,6 @@ class Spectrum:
     predicted_count: int
     r: int
     theta: complex
-    gamma: Polynomial
     near_singular: bool
 
     def values(self) -> tuple:
@@ -315,80 +309,6 @@ class Spectrum:
         }
 
 
-def _horner_pair(upper: np.ndarray, c0: np.ndarray, z: np.ndarray) -> tuple:
-    """p and p' of every row at that row's points, in one ``npoly.polyval``
-    pass.
-
-    ``upper`` is (d, B, 2, 1): along the first axis, the monic coefficients
-    1..d of p beside the d coefficients of p'; ``c0`` holds the constant
-    terms of p, which take one last Horner step.  Both operands of every
-    product are contiguous along the roots, so each value carries the same
-    bits as a one-row ``polyval`` call."""
-    acc = npoly.polyval(z[:, None, :], upper, tensor=False)
-    return c0[:, None] + acc[:, 0] * z, acc[:, 1]
-
-
-def _aberth_roots(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of trimmed polynomials by Aberth-Ehrlich simultaneous
-    iteration on the monic normalization, polished with two Newton steps.
-
-    The start points lie on a circle of Fujiwara's root bound.  A row stops
-    once every residual |p(z)| is at the rounding error of evaluating p
-    (Bini 1996), or once its steps fall below 1e-15 relative, or after 200
-    iterations.  ``coeffs`` is one coefficient row, or a (B, d+1) stack of
-    rows of one degree.  Each row stops on its own test and leaves the
-    working set, so its roots do not depend on the rows batched with it."""
-    coeffs = np.asarray(coeffs)
-    if coeffs.ndim == 1:
-        return _aberth_roots(coeffs[None, :])[0]
-    monic = coeffs / coeffs[:, -1:]
-    d = monic.shape[1] - 1
-    if d == 0:
-        return np.zeros((len(monic), 0), dtype=complex)
-    if d == 1:
-        return (-monic[:, :1]).astype(complex)
-    upper = np.empty((d, len(monic), 2, 1), dtype=monic.dtype)
-    upper[:, :, 0, 0] = monic[:, 1:].T
-    # npoly.polyder's two products: by the scale 1, then by the power
-    upper[:, :, 1, 0] = (np.arange(1, d + 1) * (monic[:, 1:] * 1)).T
-    c0 = monic[:, 0]
-    moduli = np.abs(monic).T[:, :, None]  # (d+1, B, 1): the coefficients of p~
-    k = np.arange(d)
-    radius = 2.0 * (np.abs(monic[:, :-1]) ** (1.0 / (d - k))).max(axis=1)
-    radius = np.where(radius > 0.0, radius, 1.0)  # z^d: a zero circle gives 0/0
-    z = radius[:, None] * np.exp(2j * np.pi * (k + 0.35) / d)
-    roots = np.empty_like(z)
-    # the rows still iterating
-    live, live_upper, live_c0, live_moduli = np.arange(len(z)), upper, c0, moduli
-    for _ in range(200):
-        p, dp = _horner_pair(live_upper, live_c0, z)
-        scale = npoly.polyval(np.abs(z), live_moduli, tensor=False)
-        converged = np.all(np.abs(p) <= _ROUNDING * scale, axis=1)
-        dp = np.where(np.abs(dp) > 0.0, dp, 1e-300)
-        ratio = p / dp
-        diff = z[:, :, None] - z[:, None, :]
-        diff.reshape(len(z), d * d)[:, :: d + 1] = np.inf  # each row's diagonal
-        s = np.sum(1.0 / diff, axis=2)
-        denom = 1.0 - ratio * s
-        denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-        step = ratio / denom
-        z = z - step
-        done = converged | (np.abs(step).max(axis=1) <= 1e-15 * (1.0 + np.abs(z).max(axis=1)))
-        if np.count_nonzero(done):
-            roots[live[done]] = z[done]
-            keep = ~done
-            live, live_upper, live_c0 = live[keep], live_upper[:, keep], live_c0[keep]
-            live_moduli, z = live_moduli[:, keep], z[keep]
-            if not len(live):
-                break
-    roots[live] = z
-    for _ in range(2):
-        p, dp = _horner_pair(upper, c0, roots)
-        step = np.where(np.abs(dp) > 0.0, p / np.where(np.abs(dp) > 0.0, dp, 1.0), 0.0)
-        roots = roots - step
-    return roots
-
-
 def _cluster_real_roots(values: np.ndarray) -> tuple:
     groups: list[list[float]] = []
     for v in np.sort(values):
@@ -400,36 +320,17 @@ def _cluster_real_roots(values: np.ndarray) -> tuple:
     return tuple((float(np.mean(g)) if len(g) > 1 else g[0] + 0.0, len(g)) for g in groups)
 
 
-def _polish_double_root(dgamma: Polynomial, center: float, radius: float) -> float:
-    """At a double root the derivative has a simple zero; a few Newton
-    steps on it recover the location to full precision where the cluster
-    mean is only square-root accurate."""
-    d2 = dgamma.derivative()
-    x = center
-    for _ in range(8):
-        dp = dgamma(x)
-        d2p = d2(x)
-        if abs(d2p) == 0.0:
-            break
-        step = (dp / d2p).real
-        x -= step
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
-            break
-    if abs(x - center) > max(radius, TOL.cluster * (1.0 + abs(center))):
-        return center
-    return x
-
-
 def eigenvalues(problem: Problem) -> Spectrum:
     """Compute the full spectrum of the problem.
 
-    The characteristic polynomial is trimmed to its numerical degree, which
-    must agree with the rank-based count (DegreeMismatch otherwise --- the
-    problem sits in the tolerance gap next to a discontinuity set); all its
-    roots are found simultaneously, checked to be finite and real
-    (NonRealRoot otherwise), and clustered into multiplicities.  A leading
-    coefficient that survives trimming but is relatively tiny flags the
-    spectrum as near-singular: one root is about to escape to infinity.
+    The characteristic polynomial's trimmed degree must agree with the
+    rank-based count (DegreeMismatch otherwise --- the problem sits in the
+    tolerance gap next to a discontinuity set).  The eigenvalues are those
+    of the reduced Hermitian pencil (NonRealRoot where its boundary block
+    is not Hermitian to ``TOL.real_root``), clustered into multiplicities.
+    A leading coefficient that survives trimming but is relatively tiny
+    flags the spectrum as near-singular: one eigenvalue is about to escape
+    to infinity.
     """
     result = eigenvalues_many([problem])[0]
     if isinstance(result, Exception):
@@ -439,32 +340,134 @@ def eigenvalues(problem: Problem) -> Spectrum:
 
 def eigenvalues_many(problems) -> list:
     """:func:`eigenvalues` of every problem, with the count data of all
-    problems in stacks (:func:`_count_data`) and one root solve per degree:
-    a list holding each problem's Spectrum, or the exception that
-    ``eigenvalues`` raises for it.  Each spectrum carries the same bits as
-    a separate ``eigenvalues`` call."""
+    problems in stacks (:func:`_count_data`) and one ``eigvalsh`` per
+    pencil shape: a list holding each problem's Spectrum, or the exception
+    that ``eigenvalues`` raises for it.  Each spectrum carries the same bits
+    as a separate ``eigenvalues`` call."""
+    return _eigenvalues_many(problems)
+
+
+def _eigenvalues_many(problems, recover=None) -> list:
+    """:func:`eigenvalues_many`, where ``recover(i, mismatch)``, if given,
+    names the rank at which problem i is solved although it fails the
+    count gate; its slot then holds the sorted eigenvalues of that pencil,
+    unchecked, in place of the DegreeMismatch."""
     results: list = [None] * len(problems)
-    prepared: dict = {}  # index -> (gamma, r, expected) of a problem to solve
-    groups: dict = {}  # degree -> indices of the problems to solve
     gammas, ranks = _count_data(problems)
+    solve: dict = {}  # index -> rank of its pencil
     for i, (problem, gamma, r) in enumerate(zip(problems, gammas, ranks.tolist())):
-        expected = problem.equation.N - 2 + r
-        degree = gamma.degree()
-        if degree != expected:
-            results[i] = DegreeMismatch(degree, expected)
+        degree, expected = gamma.degree(), problem.equation.N - 2 + r
+        if degree == expected:
+            solve[i] = r
             continue
-        prepared[i] = (gamma, r, expected)
-        groups.setdefault(degree, []).append(i)
-    solved: dict = {}
-    for degree, members in groups.items():
-        stack = np.array([prepared[i][0].coeffs[: degree + 1] for i in members])
-        solved.update(zip(members, _aberth_roots(stack)))
-    for i, (gamma, r, expected) in prepared.items():
-        try:
-            results[i] = _finish_spectrum(problems[i], gamma, r, expected, solved[i])
-        except NonRealRoot as exc:
-            results[i] = exc
+        results[i] = DegreeMismatch(degree, expected)
+        if recover is not None:
+            solve[i] = recover(i, results[i])
+    solved = _pencil_eigenvalues([problems[i] for i in solve], list(solve.values()))
+    for (i, r), (values, residue) in zip(solve.items(), solved):
+        if results[i] is not None:  # recovered
+            results[i] = values
+        elif not residue <= TOL.real_root:  # NaN included
+            results[i] = NonRealRoot(residue)
+        else:
+            problem, coeffs = problems[i], gammas[i].coeffs
+            n = problem.equation.N
+            expected = n - 2 + r
+            top = float(np.abs(coeffs).max())
+            results[i] = Spectrum(
+                eigenvalues=_cluster_real_roots(values),
+                predicted_count=expected,
+                r=r,
+                theta=complex(theta(problem)),
+                near_singular=bool(expected == n and abs(coeffs[n]) < TOL.near_singular * top),
+            )
     return results
+
+
+def _pencil_eigenvalues(problems, ranks) -> list:
+    """The sorted eigenvalues of the reduced Hermitian pencil of every
+    problem at the given rank r, with the pencil's relative anti-Hermitian
+    residue: one SVD and one ``eigvalsh`` per (N, r, dtype) stack, real
+    wherever the boundary matrix is.
+
+    With E = [A_1 - f_0 A_2, f_N B_2] on (y_0, y_{N+1}) and
+    G = [f_0 A_2, B_1 - f_N B_2] on (y_1, y_N), the boundary rows read
+    E (y_0, y_{N+1}) + G (y_1, y_N) = 0.  Take E = U S V*.  The first r rows
+    of U* give (y_0, y_{N+1}) = -V_r S_r^-1 (U*G)_r (y_1, y_N), which adds
+    the corner D V_r S_r^-1 (U*G)_r, D = diag(f_0, f_N), to the {1, N}
+    block of the tridiagonal operator.  The other 2 - r rows C = (U*G)_{r:}
+    constrain (y_1, y_N); the operator is projected onto null(C): nothing
+    at r = 2, one merged coordinate p at r = 1, y_1 = y_N = 0 at r = 0.
+    The weights stay diagonal, so the matrix is scaled by W^-1/2.  The
+    anti-Hermitian residue of the boundary block is taken relative to the
+    largest entry of the matrix and divided by max(1, s_1 / s_r), the
+    conditioning of the corner; the block is then replaced by its
+    Hermitian part."""
+    out: list = [None] * len(problems)
+    groups: dict = {}
+    for i, (problem, r) in enumerate(zip(problems, ranks)):
+        real = not problem.bc.matrix.imag.any()
+        groups.setdefault((problem.equation.N, r, real), []).append(i)
+    for (n, r, real), members in groups.items():
+        m = np.array([problems[i].bc.matrix for i in members])
+        if real:
+            m = m.real
+        f = np.array([problems[i].equation.f for i in members])
+        q = np.array([problems[i].equation.q for i in members])
+        w = np.array([problems[i].equation.w for i in members])
+        d = f[:, [0, n]]  # diag(f_0, f_N)
+        e = np.stack([m[:, :, 0] - d[:, :1] * m[:, :, 1], d[:, 1:] * m[:, :, 3]], axis=-1)
+        g = np.stack([d[:, :1] * m[:, :, 1], m[:, :, 2] - d[:, 1:] * m[:, :, 3]], axis=-1)
+        u, s, vh = np.linalg.svd(e)
+        ug = u.conj().swapaxes(-1, -2) @ g
+        corner = (vh[:, :r].conj().swapaxes(-1, -2) / s[:, None, :r]) @ ug[:, :r]
+        corner *= d[:, :, None]
+        # the tridiagonal operator: its {1, N} block joins the corner
+        diag = f[:, :-1] + f[:, 1:] + q
+        off = -f[:, 1:n]
+        corner[:, 0, 0] += diag[:, 0]
+        corner[:, 1, 1] += diag[:, -1]
+        if n == 2:
+            corner[:, 0, 1] += off[:, 0]
+            corner[:, 1, 0] += off[:, 0]
+        # (y_1, y_N) = links t: the r coordinates t come first, then y_2..y_{N-1}
+        if r == 2:
+            links = np.broadcast_to(np.eye(2), (len(members), 2, 2))
+        else:
+            c = ug[:, 1:]  # at r = 1, the one row of C
+            links = c[:, :, ::-1] * np.array([1.0, -1.0])  # its null vector
+            links /= np.linalg.norm(links, axis=-1, keepdims=True)
+            links = links.swapaxes(-1, -2)[:, :, :r]
+        size = n - 2 + r
+        h = np.zeros((len(members), size, size), m.dtype)
+        h[:, :r, :r] = links.conj().swapaxes(-1, -2) @ corner @ links
+        inner = np.arange(r, size)
+        h[:, inner, inner] = diag[:, 1:-1]
+        h[:, inner[1:], inner[:-1]] = off[:, 1:-1]
+        h[:, inner[:-1], inner[1:]] = off[:, 1:-1]
+        if n > 2:  # y_2 and y_{N-1} couple to y_1 and y_N through -f_1 and -f_{N-1}
+            for row, link in ((r, off[:, :1] * links[:, 0]), (size - 1, off[:, -1:] * links[:, 1])):
+                h[:, row, :r] += link
+                h[:, :r, row] += link.conj()
+        weight = np.empty((len(members), size))
+        weight[:, :r] = (np.abs(links) ** 2 * w[:, [0, -1], None]).sum(axis=1)
+        weight[:, r:] = w[:, 1:-1]
+        scale = 1.0 / np.sqrt(weight)
+        h *= scale[:, :, None]
+        h *= scale[:, None, :]
+        block = h[:, :r, :r]
+        skew = np.abs(block - block.conj().swapaxes(-1, -2)).max(axis=(1, 2), initial=0.0)
+        top = np.abs(h).max(axis=(1, 2), initial=0.0)
+        spread = np.maximum(1.0, s[:, 0] / s[:, r - 1]) if r else 1.0
+        residue = skew / np.where(top > 0.0, top, 1.0) / spread
+        h[:, :r, :r] = 0.5 * (block + block.conj().swapaxes(-1, -2))
+        finite = np.isfinite(h).all(axis=(1, 2))
+        h[~finite] = 0.0  # keeps its stack mates solvable
+        values = np.linalg.eigvalsh(h)
+        values[~finite] = np.nan
+        for i, row, res in zip(members, values, np.where(finite, residue, np.nan)):
+            out[i] = (row, float(res))
+    return out
 
 
 def _count_data(problems) -> tuple:
@@ -489,49 +492,3 @@ def _count_data(problems) -> tuple:
         for i, coeffs in zip(members, _char_poly_rows(fs, matrices[rows], c[rows])):
             gammas[i] = Polynomial(coeffs)
     return gammas, ranks
-
-
-def _finish_spectrum(problem: Problem, gamma: Polynomial, r: int, expected: int,
-                     roots: np.ndarray) -> Spectrum:
-    """Check the roots of a solved problem, cluster them into
-    multiplicities and polish the double ones.  Warnings name the caller of
-    ``eigenvalues`` (or of the function that called ``eigenvalues_many``)."""
-    n = problem.equation.N
-    coeffs = gamma.coeffs
-    top = float(np.abs(coeffs).max())
-    near = bool(expected == n and abs(coeffs[n]) < TOL.near_singular * top)
-    for root in roots:
-        # a NaN imaginary part would pass the size test silently
-        if not np.isfinite(root) or abs(root.imag) > TOL.real_root * (1.0 + abs(root.real)):
-            raise NonRealRoot(complex(root))
-    pairs = _cluster_real_roots(roots.real)
-    # only multiple roots are polished and checked against the derivative
-    dgamma = gamma.derivative() if any(mult >= 2 for _, mult in pairs) else None
-    polished = []
-    for value, mult in pairs:
-        if mult >= 3:
-            warnings.warn(
-                f"eigenvalue {value} clustered with multiplicity {mult} > 2",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        if mult == 2:
-            value = _polish_double_root(dgamma, value, TOL.cluster * (1.0 + abs(value)))
-        if mult >= 2:
-            dscale = float(npoly.polyval(abs(value), np.abs(dgamma.coeffs)))
-            if abs(dgamma(value)) > 1e-3 * max(dscale, top):
-                warnings.warn(
-                    f"cluster at {value} does not flatten the derivative; "
-                    "possibly two close simple eigenvalues",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
-        polished.append((float(value), mult))
-    return Spectrum(
-        eigenvalues=tuple(polished),
-        predicted_count=expected,
-        r=r,
-        theta=complex(theta(problem)),
-        gamma=gamma,
-        near_singular=near,
-    )

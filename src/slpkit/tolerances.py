@@ -22,9 +22,10 @@ class Tolerances:
     trim: float = 1e-11
     # leading coefficients inside (trim, near_singular) flag a fragile problem
     near_singular: float = 1e-8
-    # relative gap under which real roots merge into one eigenvalue
+    # relative gap under which eigenvalues merge into one multiple eigenvalue
     cluster: float = 1e-6
-    # allowed relative imaginary part of a root of the characteristic polynomial
+    # allowed anti-Hermitian residue of the reduced pencil's boundary block,
+    # relative to its largest entry and divided by max(1, s_1 / s_r) of E
     real_root: float = 1e-7
     # block-singularity cutoff used when detecting separated boundary conditions
     separated: float = 1e-10

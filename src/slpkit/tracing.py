@@ -27,7 +27,7 @@ from .errors import DegreeMismatch, FamilyNotAxisAligned, PatternMismatch, Unres
 from .families import Family
 from .fixtures import PatternCheck, _asymptotic_checks
 from .model import Problem
-from .spectra import Spectrum, char_poly, eigenvalues_many, _aberth_roots
+from .spectra import Spectrum, eigenvalues_many, _eigenvalues_many
 from .tolerances import TOL
 
 _EPS = float(np.finfo(float).eps)
@@ -380,63 +380,37 @@ class JumpClassification:
     right: SideClassification | None
 
 
-def _sorted_real_roots(rows: dict) -> dict:
-    """The sorted real parts of the roots of every coefficient row, by key,
-    with one :func:`_aberth_roots` stack per row length."""
-    by_length: dict = {}
-    for key, row in rows.items():
-        by_length.setdefault(len(row), []).append(key)
-    roots = {}
-    for keys in by_length.values():
-        stack = _aberth_roots(np.array([rows[key] for key in keys]))
-        roots.update((key, np.sort(row.real)) for key, row in zip(keys, stack))
-    return roots
-
-
 def _jump_values(limit: Problem, sides: list) -> tuple:
     """The multiplicity-expanded values of a (possibly near-degenerate)
-    limit problem, without any about-to-escape root beyond the divergence
-    threshold, and, for each side's ``(h, problem)`` offsets, the samples
-    ``(h, values)``, from one ``eigenvalues_many`` call over the limit and
-    every offset.  The first error other than DegreeMismatch is raised: the
-    limit's, then the offsets' in side and offset order.
+    limit problem, without any about-to-escape eigenvalue beyond the
+    divergence threshold, and, for each side's ``(h, problem)`` offsets,
+    the samples ``(h, values)``, from one stacked solve of the limit and
+    every offset.  The first error is raised: the limit's, then the
+    offsets' in side and offset order.
 
-    A DegreeMismatch limit keeps the roots of its trimmed characteristic
-    polynomial.  A DegreeMismatch sample sits near a double-degeneracy
-    point: the leading coefficients vanish quadratically, opening a band
-    where trimming removes them while the rank still demands the full
-    count.  Its escaped roots are recovered to first order from the
-    surviving top coefficients, which is ample for divergence bookkeeping.
-    All these rows are solved in one stack per row length."""
+    A problem that fails the count gate is solved from its pencil anyway:
+    the limit at the count of its trimmed characteristic polynomial, a
+    sample at the rank-based count.  Next to a double-degeneracy point the
+    leading coefficients vanish quadratically, opening a band where
+    trimming removes them while the rank still demands the full count; the
+    pencil keeps the escaping eigenvalues there, growing like the inverse
+    of the smallest singular value of its boundary block."""
     problems = [limit] + [problem for resolved in sides for _, problem in resolved]
-    results = eigenvalues_many(problems)
-    rows: dict = {}  # (problem index, part) -> coefficient row to solve
-    for i, (problem, result) in enumerate(zip(problems, results)):
-        if isinstance(result, Spectrum):
-            continue
-        if not isinstance(result, DegreeMismatch):
-            raise result
-        coeffs, deg, expected = char_poly(problem).coeffs, result.degree, result.expected
-        if i == 0:
-            rows[i, "moderate"] = coeffs[: deg + 1]
-        elif deg < expected and abs(coeffs[expected]) != 0.0:
-            rows[i, "moderate"] = coeffs[: deg + 1]
-            rows[i, "escaped"] = coeffs[deg : expected + 1]
-    roots = _sorted_real_roots(rows)
+
+    def recover(i, mismatch):
+        count = mismatch.degree if i == 0 else mismatch.expected
+        return min(max(count - problems[i].equation.N + 2, 0), 2)
+
     values = []
-    for i, result in enumerate(results):
-        if isinstance(result, Spectrum):
-            values.append(result.values())
-        elif (i, "escaped") in roots:
-            both = np.concatenate([roots[i, "moderate"], roots[i, "escaped"]])
-            values.append(tuple(np.sort(both)))
-        else:
-            values.append(roots.get((i, "moderate")))  # None: not recoverable
+    for result in _eigenvalues_many(problems, recover):
+        if isinstance(result, Exception):
+            raise result
+        values.append(result.values() if isinstance(result, Spectrum) else tuple(result))
     limit_values = tuple(float(v) for v in values.pop(0) if abs(v) <= TOL.divergence)
     samples = []
     for resolved in sides:
         side_values, values = values[: len(resolved)], values[len(resolved) :]
-        samples.append([(h, v) for (h, _), v in zip(resolved, side_values) if v is not None])
+        samples.append([(h, v) for (h, _), v in zip(resolved, side_values)])
     return limit_values, samples
 
 

@@ -17,7 +17,7 @@ from slpkit.fixtures import (
     ex31_closed,
 )
 from slpkit.oracles import gamma_by_interpolation, pencil_eigenvalues_separated
-from slpkit.spectra import _aberth_roots, leading_coefficients
+from slpkit.spectra import leading_coefficients
 
 from conftest import (
     random_bc,
@@ -193,7 +193,7 @@ def test_criterion_5_reality_and_oracles(corpus_spectra):
     for p, gamma, spec in corpus_spectra:
         trimmed = gamma.trimmed()
         if trimmed.degree() >= 1:
-            roots = _aberth_roots(trimmed.coeffs)
+            roots = np.polynomial.polynomial.polyroots(trimmed.coeffs)
             worst_imag = max(
                 worst_imag,
                 float(np.max(np.abs(roots.imag) / (1.0 + np.abs(roots.real)))),

@@ -1,5 +1,6 @@
-"""The batched root solve: stacking rows, trace grids and jump samples into
-one Aberth-Ehrlich iteration changes no bit of any spectrum."""
+"""The batched pencil solve: stacking trace grids, refined candidates and
+jump samples into one ``eigvalsh`` per pencil shape changes no bit of any
+spectrum."""
 
 import math
 
@@ -10,239 +11,14 @@ import slpkit as sk
 from slpkit import spectra, tracing
 from slpkit.errors import DegreeMismatch, NonRealRoot
 from slpkit.fixtures import builtin_family, free_equation
+from slpkit.oracles import pencil_eigenvalues_separated
 from slpkit.tolerances import TOL
-from numpy.polynomial import polynomial as npoly
 
-from slpkit.spectra import _aberth_roots, eigenvalues_many
-
-from conftest import random_bc, random_coupled, random_equation, random_separated
+from slpkit.spectra import _eigenvalues_many, eigenvalues_many
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
-
-
-def _capped_reference_roots(coeffs):
-    """The one-row Aberth-Ehrlich loop that the kernel ran before its
-    residual test: start circle 1 + max|c_k|, the step test alone, the
-    200-iteration cap and two Newton polishes."""
-    monic = coeffs / coeffs[-1]
-    d = len(monic) - 1
-    if d == 0:
-        return np.zeros(0, dtype=complex)
-    if d == 1:
-        return np.array([-monic[0]], dtype=complex)
-    dmonic = npoly.polyder(monic)
-    radius = 1.0 + float(np.abs(monic[:-1]).max())
-    k = np.arange(d)
-    z = radius * np.exp(2j * np.pi * (k + 0.35) / d)
-    for _ in range(200):
-        p = npoly.polyval(z, monic)
-        dp = npoly.polyval(z, dmonic)
-        dp = np.where(np.abs(dp) > 0.0, dp, 1e-300)
-        ratio = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - ratio * s
-        denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-        step = ratio / denom
-        z = z - step
-        if float(np.abs(step).max()) <= 1e-15 * (1.0 + float(np.abs(z).max())):
-            break
-    for _ in range(2):
-        p = npoly.polyval(z, monic)
-        dp = npoly.polyval(z, dmonic)
-        step = np.where(np.abs(dp) > 0.0, p / np.where(np.abs(dp) > 0.0, dp, 1.0), 0.0)
-        z = z - step
-    return z
-
-
-def _reference_roots(coeffs, exits=None):
-    """The one-row Aberth-Ehrlich loop that the batched kernel reproduces:
-    the same Fujiwara start circle, residual and step tests, cap and Newton
-    polish.  ``exits`` collects what stopped the loop: "step" when the step
-    test holds, else "residual" or "cap"."""
-    monic = coeffs / coeffs[-1]
-    d = len(monic) - 1
-    if d == 0:
-        return np.zeros(0, dtype=complex)
-    if d == 1:
-        return np.array([-monic[0]], dtype=complex)
-    dmonic = npoly.polyder(monic)
-    k = np.arange(d)
-    radius = 2.0 * float((np.abs(monic[:-1]) ** (1.0 / (d - k))).max())
-    if not radius > 0.0:
-        radius = 1.0
-    z = radius * np.exp(2j * np.pi * (k + 0.35) / d)
-    exit = "cap"
-    for _ in range(200):
-        p = npoly.polyval(z, monic)
-        dp = npoly.polyval(z, dmonic)
-        scale = npoly.polyval(np.abs(z), np.abs(monic))
-        converged = bool(np.all(np.abs(p) <= 8 * np.finfo(float).eps * scale))
-        dp = np.where(np.abs(dp) > 0.0, dp, 1e-300)
-        ratio = p / dp
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
-        s = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - ratio * s
-        denom = np.where(np.abs(denom) > 1e-300, denom, 1.0)
-        step = ratio / denom
-        z = z - step
-        if float(np.abs(step).max()) <= 1e-15 * (1.0 + float(np.abs(z).max())):
-            exit = "step"
-        elif converged:
-            exit = "residual"
-        if exit != "cap":
-            break
-    if exits is not None:
-        exits.append(exit)
-    for _ in range(2):
-        p = npoly.polyval(z, monic)
-        dp = npoly.polyval(z, dmonic)
-        step = np.where(np.abs(dp) > 0.0, p / np.where(np.abs(dp) > 0.0, dp, 1.0), 0.0)
-        z = z - step
-    return z
-
-
-def _char_poly_rows(rng):
-    """Trimmed characteristic polynomials of seeded problems, by degree:
-    C-point problems give degree 0, beta = pi gives N - 1, generic
-    conditions give N."""
-    rows = {}
-    for n in range(2, 13):
-        for t in range(6):
-            eq = random_equation(rng, n)
-            if t == 0:
-                bc = sk.separated_matrix(sk.xi_of(eq.f[0]), math.pi)
-            elif t == 1:
-                bc = sk.separated_matrix(rng.uniform(0.1, 3.0), math.pi)
-            else:
-                bc = random_coupled(rng) if t % 2 else random_separated(rng)
-            coeffs = sk.char_poly(sk.Problem(eq, bc)).trimmed().coeffs
-            rows.setdefault(len(coeffs) - 1, []).append(coeffs)
-    return rows
-
-
-def test_stacked_roots_equal_row_by_row_bits(monkeypatch):
-    rows = _char_poly_rows(np.random.default_rng(606))
-    assert sorted(rows) == list(range(13))
-
-    # a NaN coefficient keeps a row from converging: it runs to the cap
-    nan_row = rows[12][0].copy()
-    nan_row[3] = np.nan
-    rows[12].insert(1, nan_row)
-    passes = []  # Horner passes of each single-row solve
-    exits = []  # the test that stopped each reference loop
-    horner = spectra._horner_pair
-
-    def counting(*args):
-        passes[-1] += 1
-        return horner(*args)
-
-    with np.errstate(all="ignore"):
-        for degree, group in sorted(rows.items()):
-            stacked = _aberth_roots(np.array(group))
-            assert stacked.shape == (len(group), degree)
-            for row, got in zip(group, stacked):
-                passes.append(0)
-                with monkeypatch.context() as m:
-                    m.setattr(spectra, "_horner_pair", counting)
-                    alone = _aberth_roots(row)
-                assert alone.shape == (degree,)
-                assert np.array_equal(_bits(alone), _bits(got))
-                assert np.array_equal(_bits(alone), _bits(_reference_roots(row, exits)))
-    # a capped row makes 200 iteration passes and 2 polishing passes;
-    # degrees 0 and 1 are closed-form and make none
-    assert any(0 < p < 202 for p in passes), "no row stopped early"
-    assert [p for p in passes if p >= 202] == [202], "only the NaN row reaches the cap"
-    assert "residual" in exits, "no row stopped on the residual test"
-    assert exits.count("cap") == 1
-
-
-def test_capped_row_becomes_nonreal_root(monkeypatch):
-    """A row that runs to the cap leaves NaN roots, which eigenvalues_many
-    reports as NonRealRoot without touching its batch mates."""
-    family = _sweep_n12_family(1)
-    # the middle point sits on the set: a degree-11 stack of its own
-    problems = [family.resolve(float(nu)) for nu in family.grid(5)]
-    want = [sk.eigenvalues(p).values() for p in problems]
-    kernel = spectra._aberth_roots
-
-    def poisoned(stack):
-        if len(stack) > 1:  # the degree-12 rows of problems 0, 1, 3 and 4
-            stack = stack.copy()
-            stack[1, 3] = np.nan
-        return kernel(stack)
-
-    monkeypatch.setattr(spectra, "_aberth_roots", poisoned)
-    with np.errstate(all="ignore"):
-        results = eigenvalues_many(problems)
-    assert isinstance(results[1], NonRealRoot) and math.isnan(results[1].root.real)
-    for i in (0, 2, 3, 4):
-        assert np.array_equal(_bits(results[i].values()), _bits(want[i]))
-
-
-def test_zero_polynomial_rows_give_zero_roots():
-    """z^d has Fujiwara bound 0; its start circle falls back to radius 1."""
-    for d in range(2, 13):
-        row = np.zeros(d + 1)
-        row[-1] = 2.0
-        roots = _aberth_roots(row)
-        assert roots.shape == (d,) and np.all(np.isfinite(roots))
-        assert np.abs(roots).max() <= 1e-14
-        assert np.array_equal(_bits(roots), _bits(_reference_roots(row)))
-
-
-def test_sweep_n12_grid_rows_stop_early(monkeypatch):
-    """No degree-12 row of the benchmark's seed-1 sweep-n12 grid reaches the
-    cap; the median row stops within 40 Horner passes."""
-    family = _sweep_n12_family(1)
-    rows = [sk.char_poly(family.resolve(float(nu))).trimmed().coeffs for nu in family.grid(256)]
-    assert {len(row) - 1 for row in rows} == {12}
-    passes = []
-    horner = spectra._horner_pair
-
-    def counting(*args):
-        passes[-1] += 1
-        return horner(*args)
-
-    monkeypatch.setattr(spectra, "_horner_pair", counting)
-    for row in rows:
-        passes.append(0)
-        _aberth_roots(row)
-    assert max(passes) < 202
-    assert np.median(passes) <= 40
-
-
-def _corpus(rng):
-    """Seeded N <= 12 problems: separated, coupled and chart conditions,
-    twisted or not, and problems exactly on a discontinuity set."""
-    problems = []
-    for n in range(2, 13):
-        for kind in ("separated", "coupled", "chart"):
-            for twist in (False, True):
-                problems.append(sk.Problem(random_equation(rng, n), random_bc(rng, kind, twist)))
-        eq = random_equation(rng, n, mixed_signs=False)
-        xi = sk.xi_of(eq.f[0])
-        for alpha, beta in ((xi, math.pi), (rng.uniform(0.1, 3.0), math.pi), (xi, 1.0)):
-            problems.append(sk.Problem(eq, sk.separated_matrix(alpha, beta)))
-    return problems
-
-
-def test_spectra_stay_within_1e8_of_the_capped_iteration(monkeypatch):
-    problems = _corpus(np.random.default_rng(1414))
-    got = [sk.eigenvalues(p) for p in problems]
-    monkeypatch.setattr(
-        spectra, "_aberth_roots",
-        lambda stack: np.array([_capped_reference_roots(row) for row in stack]),
-    )
-    for g, w in zip(got, map(sk.eigenvalues, problems)):
-        assert g.predicted_count == w.predicted_count
-        assert [m for _, m in g.eigenvalues] == [m for _, m in w.eigenvalues]
-        for (a, _), (b, _) in zip(g.eigenvalues, w.eigenvalues):
-            assert abs(a - b) <= 1e-8 * max(1.0, abs(b))
 
 
 def _per_point(family, grid_size):
@@ -293,7 +69,7 @@ def test_trace_grid_equals_per_point_eigenvalues(family, grid_size):
     assert tr.events
 
 
-def _nonreal_n32_draw():
+def _n32_draw():
     # draw 32 of test_overflowing_roots_raise_instead_of_nan
     rng = np.random.default_rng(5)
     n = 32
@@ -304,7 +80,8 @@ def _nonreal_n32_draw():
         alpha = rng.uniform(0.0, math.pi)
         beta = math.pi - rng.uniform(0.0, math.pi)
     assert (round(alpha, 3), round(beta, 3)) == (0.798, 0.398)
-    return sk.Problem(sk.validate_equation(f, q, w), sk.separated_matrix(alpha, beta))
+    eq = sk.validate_equation(f, q, w)
+    return sk.Problem(eq, sk.separated_matrix(alpha, beta)), (eq, alpha, beta)
 
 
 def test_eigenvalues_many_returns_what_eigenvalues_raises():
@@ -312,18 +89,22 @@ def test_eigenvalues_many_returns_what_eigenvalues_raises():
         free_equation(), sk.validate_bc(sk.chart_matrix("O14", (1 + 3e-12, 0.5, -0.3, 0.7)))
     )
     benign = sk.Problem(free_equation(), sk.validate_bc(sk.chart_matrix("O14", (1.5, 0.5, -0.3, 0.7))))
-    problems = [benign, gap, _nonreal_n32_draw(), benign]
-    with np.errstate(over="ignore", invalid="ignore"):
-        results = eigenvalues_many(problems)
-        for problem, result in zip(problems, results):
-            if problem is benign:
-                assert result.values() == sk.eigenvalues(problem).values()
-                continue
-            with pytest.raises((DegreeMismatch, NonRealRoot)) as raised:
-                sk.eigenvalues(problem)
-            assert type(result) is type(raised.value)
-            assert result.args == raised.value.args
-    assert [type(r) for r in results[1:3]] == [DegreeMismatch, NonRealRoot]
+    draw, separated = _n32_draw()
+    problems = [benign, gap, draw, benign]
+    results = eigenvalues_many(problems)
+    for problem, result in zip(problems, results):
+        if problem is not gap:
+            assert result.values() == sk.eigenvalues(problem).values()
+            continue
+        with pytest.raises(DegreeMismatch) as raised:
+            sk.eigenvalues(problem)
+        assert type(result) is type(raised.value)
+        assert result.args == raised.value.args
+    assert type(results[1]) is DegreeMismatch
+    # the N = 32 draw whose monomial roots overflowed: 32 pencil values
+    got, want = np.array(results[2].values()), pencil_eigenvalues_separated(*separated)
+    assert len(got) == 32 and np.all(np.isfinite(got))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 # -- the solves after the grid: refined candidates, a jump's limit and sides --
@@ -341,24 +122,20 @@ def _sweep_n12_family(seed):
     return sk.coupled_axis_family(eq, 0.9, k, "k11", 0.5 * t_star, 1.5 * t_star)
 
 
-def _degree(coeffs):
-    return np.asarray(coeffs).shape[-1] - 1
-
-
 def test_kernel_call_budget(monkeypatch):
-    """trace: one kernel call per degree for the grid and one per degree for
-    the refined candidates; classify_jump: one per degree for the limit and
-    both sides, plus one per row length for the escaped-root recovery."""
-    calls = []  # (stage, module, degree)
+    """trace: one ``eigvalsh`` stack per pencil shape for the grid and one
+    per shape for the refined candidates; classify_jump: one per shape for
+    the limit, both sides and the samples that fail the count gate."""
+    calls = []  # (stage, matrix size, dtype kind)
     stage = ["outside"]
-    kernel = spectra._aberth_roots
+    eigvalsh = np.linalg.eigvalsh
     spectra_or_none = tracing._spectra_or_none
+    many = tracing._eigenvalues_many
+    recovered = []  # the rows of the jump's solve that fail the count gate
 
-    def counted(module):
-        def run(coeffs):
-            calls.append((stage[0], module, _degree(coeffs)))
-            return kernel(coeffs)
-        return run
+    def counted(h):
+        calls.append((stage[0], h.shape[-1], h.dtype.kind))
+        return eigvalsh(h)
 
     def staged(problems):
         stage[0] = "grid" if stage[0] == "outside" else "candidates"
@@ -367,46 +144,44 @@ def test_kernel_call_budget(monkeypatch):
         finally:
             stage[0] = "between"
 
-    monkeypatch.setattr(spectra, "_aberth_roots", counted("spectra"))
-    monkeypatch.setattr(tracing, "_aberth_roots", counted("tracing"))
+    def recording(problems, recover=None):
+        def recorded(i, mismatch):
+            recovered.append(i)
+            return recover(i, mismatch)
+        return many(problems, recorded if recover else None)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     monkeypatch.setattr(tracing, "_spectra_or_none", staged)
+    monkeypatch.setattr(tracing, "_eigenvalues_many", recording)
     family = _sweep_n12_family(1)
     tr = sk.trace(family, 256)
     assert {c[0] for c in calls} == {"grid", "candidates"}
     for name in ("grid", "candidates"):
-        degrees = [d for s, _, d in calls if s == name]
-        assert len(degrees) == len(set(degrees)), (name, degrees)
+        shapes = [c[1:] for c in calls if c[0] == name]
+        assert len(shapes) == len(set(shapes)), (name, shapes)
     assert len(tr.events) == 1
 
     del calls[:]
     stage[0] = "jump"
     jc = sk.classify_jump(tr, tr.events[0].nu)
-    solves = [d for _, module, d in calls if module == "spectra"]
-    recovery = [d for _, module, d in calls if module == "tracing"]
-    assert len(solves) == len(set(solves)), solves
-    assert len(recovery) == len(set(recovery)), recovery
-    assert recovery, "the escaped-root recovery did not run"
+    shapes = [c[1:] for c in calls]
+    assert len(shapes) == len(set(shapes)), shapes
+    assert recovered, "no jump sample failed the count gate"
     assert jc.left.consistent and jc.right.consistent
 
 
 def _reference_values(problem, escaping):
     """One problem's values as classify_jump samples them, one solve per
-    problem: its spectrum, else the roots of the trimmed characteristic
-    polynomial, plus, for a sample (``escaping``), its escaped roots."""
+    problem: its spectrum, else its pencil at the count of the trimmed
+    characteristic polynomial (a limit), or, for a sample (``escaping``),
+    at the rank-based count, which keeps the escaping eigenvalues."""
     try:
         return sk.eigenvalues(problem).values()
-    except DegreeMismatch:
-        pass
-    gamma = sk.char_poly(problem)
-    deg = gamma.degree()
-    moderate = np.sort(_aberth_roots(gamma.coeffs[: deg + 1]).real)
-    if not escaping:
-        return tuple(moderate)
-    expected = problem.equation.N - 2 + sk.rank_r(problem)
-    if deg >= expected or abs(gamma.coeffs[expected]) == 0.0:
-        return None
-    escaped = np.sort(_aberth_roots(gamma.coeffs[deg : expected + 1]).real)
-    return tuple(np.sort(np.concatenate([moderate, escaped])))
+    except DegreeMismatch as mismatch:
+        count = mismatch.expected if escaping else mismatch.degree
+    r = min(max(count - problem.equation.N + 2, 0), 2)
+    ((values, _),) = spectra._pencil_eigenvalues([problem], [r])
+    return tuple(values)
 
 
 def _reference_sides(family, nu0, limit, bracket_width, gaps):
@@ -415,11 +190,10 @@ def _reference_sides(family, nu0, limit, bracket_width, gaps):
     )
     sides = {}
     for side, gap in gaps.items():
-        samples = []
-        for h, problem in tracing._side_offsets(family, nu0, side, bracket_width, gap):
-            values = _reference_values(problem, True)
-            if values is not None:
-                samples.append((h, values))
+        samples = [
+            (h, _reference_values(problem, True))
+            for h, problem in tracing._side_offsets(family, nu0, side, bracket_width, gap)
+        ]
         sides[side] = tracing._side_classification(side, samples, limit_values)
     return limit_values, sides
 
@@ -472,7 +246,7 @@ def test_n12_trace_and_jump_equal_per_problem_solves(monkeypatch):
     family = _sweep_n12_family(1)
     tr = sk.trace(family, 256)
     got = sk.classify_jump(tr, tr.events[0].nu)
-    # a jump sample in the tolerance gap exercises the escaped-root recovery
+    # a jump sample in the tolerance gap is solved at the rank-based count
     assert repr(got) == repr(_reference_jump(tr, tr.events[0].nu))
     monkeypatch.setattr(tracing, "_spectra_or_none", _per_problem_spectra)
     assert repr(sk.trace(family, 256).events) == repr(tr.events)
@@ -487,8 +261,9 @@ def test_trace_events_equal_per_problem_solves(monkeypatch):
 
 
 def test_tolerance_gap_limit_and_samples_equal_per_problem_solves():
-    """A limit problem in the tolerance gap keeps its trimmed roots; its row
-    shares a stack with the samples' rows of the same length."""
+    """A limit problem in the tolerance gap is solved at the count of its
+    trimmed characteristic polynomial, the samples beside it at the
+    rank-based count, in one stacked solve."""
     rng = np.random.default_rng([1, 0])
     eq = sk.validate_equation(
         rng.uniform(0.5, 2.0, 13), rng.uniform(-1.0, 1.0, 12), rng.uniform(0.5, 2.0, 12)
@@ -510,8 +285,8 @@ def test_tolerance_gap_limit_and_samples_equal_per_problem_solves():
 
 class _Tagged:
     """A family whose resolved problems remember their parameter, and an
-    ``eigenvalues_many`` that fails the problems at chosen parameters with
-    ``NonRealRoot(nu)``."""
+    ``eigenvalues_many`` (with the ``recover`` of ``_eigenvalues_many``)
+    that fails the problems at chosen parameters with ``NonRealRoot(nu)``."""
 
     def __init__(self, family):
         self.nu_of = {}
@@ -525,8 +300,8 @@ class _Tagged:
 
         self.family = sk.Family(family.kind, family.domain, tagged, label=family.label)
 
-    def eigenvalues_many(self, problems):
-        results = eigenvalues_many(problems)
+    def eigenvalues_many(self, problems, recover=None):
+        results = _eigenvalues_many(problems, recover)
         for i, problem in enumerate(problems):
             nu = self.nu_of.get(id(problem))
             if nu in self.fail:
@@ -539,7 +314,7 @@ def test_jump_errors_come_in_limit_left_right_order(monkeypatch):
     tagged = _Tagged(check.family)
     tr = sk.trace(tagged.family, check.grid_size)
     nu0 = tr.events[0].nu
-    monkeypatch.setattr(tracing, "eigenvalues_many", tagged.eigenvalues_many)
+    monkeypatch.setattr(tracing, "_eigenvalues_many", tagged.eigenvalues_many)
     tagged.nu_of.clear()
     sk.classify_jump(tr, nu0)  # records the parameters of the samples
     # each side's offsets in sampling order: the farthest first
@@ -610,20 +385,3 @@ def test_cluster_values_equal_the_mean_bit_for_bit():
         assert _bits([got]) == _bits([want])
     ((zero, _),) = spectra._cluster_real_roots(np.array([-0.0]))
     assert math.copysign(1.0, zero) == 1.0
-
-
-def test_derivative_only_for_multiple_roots(monkeypatch):
-    made = []
-    derivative = spectra.Polynomial.derivative
-
-    def counted(self):
-        made.append(len(self.coeffs))
-        return derivative(self)
-
-    monkeypatch.setattr(spectra.Polynomial, "derivative", counted)
-    eq = sk.validate_equation([1, 1, 1], [0, 0], [1, 1])
-    simple = sk.eigenvalues(sk.Problem(eq, sk.separated_matrix(0.3, 2.0)))
-    assert all(m == 1 for _, m in simple.eigenvalues) and not made
-    # the antiperiodic-like condition of test_coupled_input_form
-    double = sk.eigenvalues(sk.Problem(eq, sk.coupled_matrix(0.0, [[-1, 0], [0, -1]])))
-    assert double.eigenvalues == ((2.0, 2),) and made

@@ -6,6 +6,7 @@ import pytest
 import slpkit as sk
 from slpkit.errors import DegreeMismatch, NonRealRoot
 from slpkit.fixtures import COUPLING_BC, ex31_equation, free_equation
+from slpkit.oracles import pencil_eigenvalues_separated
 from slpkit.spectra import leading_coefficients
 
 from conftest import random_bc, random_equation, random_invertible, random_problem
@@ -220,8 +221,9 @@ class TestEigenvalues:
 
     def test_overflowing_roots_raise_instead_of_nan(self):
         # benign separated N = 32 problems drawn as below; at draw 32
-        # (alpha ~ 0.798, beta ~ 0.398) the root iteration overflows, and a
-        # NaN root used to pass the realness test as a spectrum of 32 NaNs
+        # (alpha ~ 0.798, beta ~ 0.398) the monomial root iteration
+        # overflowed, and a NaN root used to pass the realness test as a
+        # spectrum of 32 NaNs; the pencil gives its 32 eigenvalues
         rng = np.random.default_rng(5)
         n = 32
         for draw in range(40):
@@ -230,18 +232,40 @@ class TestEigenvalues:
             w = rng.uniform(0.5, 2.0, n)
             alpha = rng.uniform(0.0, math.pi)
             beta = math.pi - rng.uniform(0.0, math.pi)
-            p = sk.Problem(sk.validate_equation(f, q, w), sk.separated_matrix(alpha, beta))
-            with np.errstate(over="ignore", invalid="ignore"):
-                if draw == 32:
-                    assert (round(alpha, 3), round(beta, 3)) == (0.798, 0.398)
-                    with pytest.raises(NonRealRoot):
-                        sk.eigenvalues(p)
-                    continue
-                try:
-                    values = sk.eigenvalues(p).values()
-                except (DegreeMismatch, NonRealRoot):
-                    continue
+            eq = sk.validate_equation(f, q, w)
+            p = sk.Problem(eq, sk.separated_matrix(alpha, beta))
+            if draw == 32:
+                assert (round(alpha, 3), round(beta, 3)) == (0.798, 0.398)
+                values = np.array(sk.eigenvalues(p).values())
+                want = pencil_eigenvalues_separated(eq, alpha, beta)
+                assert len(values) == 32 and np.all(np.isfinite(values))
+                assert np.all(np.abs(values - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+                continue
+            try:
+                values = sk.eigenvalues(p).values()
+            except (DegreeMismatch, NonRealRoot):
+                continue
             assert np.all(np.isfinite(values))
+
+    def test_separated_draws_match_the_tridiagonal_pencil(self):
+        # sign-indefinite f, a quarter twisted, and draws on the sets
+        # alpha = xi(f_0), beta = pi and both (the C point)
+        rng = np.random.default_rng(2121)
+        for draw in range(600):
+            eq = random_equation(rng, int(rng.integers(2, 13)))
+            alpha = rng.uniform(0.0, math.pi * 0.999)
+            beta = rng.uniform(1e-3, math.pi)
+            if draw % 5 in (0, 2):
+                alpha = sk.xi_of(eq.f[0])
+            if draw % 5 in (1, 2):
+                beta = math.pi
+            bc = sk.separated_matrix(alpha, beta)
+            if draw % 4 == 0:
+                bc = sk.validate_bc(random_invertible(rng) @ bc.matrix)
+            got = np.array(sk.eigenvalues(sk.Problem(eq, bc)).values())
+            want = pencil_eigenvalues_separated(eq, alpha, beta)
+            assert len(got) == len(want), draw
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), draw
 
     def test_spectrum_json_shape(self):
         d = sk.eigenvalues(ex11_problem(0.0)).to_json_dict()

@@ -226,7 +226,7 @@ def test_grid_makes_no_per_point_chart_or_count_call(monkeypatch):
 
     for module, name in [
         (charts, "normalize_to_chart"), (discontinuity, "normalize_to_chart"),
-        (spectra, "char_poly"), (tracing, "char_poly"), (spectra, "rank_r"),
+        (spectra, "char_poly"), (spectra, "rank_r"),
         (tracing, "_chart_test_stack"), (tracing, "eigenvalues_many"),
     ]:
         counted(module, name)
