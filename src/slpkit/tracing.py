@@ -18,10 +18,12 @@ monotonicity of the curves along single-coordinate sweeps, and
 from __future__ import annotations
 
 import math
+from itertools import starmap
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .charts import CHART_IDS
 from .discontinuity import _chart_test_stack, _chart_tests
 from .errors import DegreeMismatch, FamilyNotAxisAligned, PatternMismatch, UnresolvableFamily
 from .families import Family
@@ -31,6 +33,9 @@ from .spectra import Spectrum, eigenvalues_many, _eigenvalues_many
 from .tolerances import TOL
 
 _EPS = float(np.finfo(float).eps)
+
+# the sharper observation of a parameter first
+_KIND_RANK = {"grid": 0, "crossing": 1, "cone": 2, "dip": 3, "degenerate": 4}
 
 
 @dataclass(frozen=True)
@@ -69,24 +74,6 @@ def _spectra_or_none(problems: list) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class _Point:
-    """One refinement evaluation of a family: the resolved problem and the
-    test of the chart being refined, by chart id (empty where the chart
-    does not cover the problem)."""
-
-    problem: Problem
-    tests: dict
-
-
-def _test_value(point: _Point | None, chart: str, coord: str) -> float | None:
-    """Field ``coord`` of a chart's test (``residual``, or the cone
-    coordinates ``p`` and ``r2``); None where the family is unresolvable or
-    the chart does not cover the problem."""
-    test = point.tests.get(chart) if point is not None else None
-    return getattr(test, coord) if test is not None else None
-
-
 def _grid_problem(family: Family, nu: float) -> Problem | None:
     """The problem at a grid parameter; None where the family is
     unresolvable at one of its flagged parameters."""
@@ -100,8 +87,8 @@ def _grid_problem(family: Family, nu: float) -> Problem | None:
 
 @dataclass(frozen=True)
 class _Candidate:
-    """A refined candidate waiting for the spectrum at its parameter; the
-    candidates of one trace are solved together after the last detector.
+    """The refined candidate of one group of flags, waiting for the
+    spectrum at its parameter; a trace solves its candidates together.
     ``event`` lacks only the count there, and ``ref`` is the count at the
     nearest grid point (None where undefined)."""
 
@@ -172,8 +159,11 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
     the signed chart residuals (transversal crossings of the discontinuity
     sets); sign changes of the cone coordinates along stretches lying
     inside a rank-one set (interior double-degeneracy points); and local
-    dips of |residual| refined and then verified, which catches tangential
-    touches that never change sign.  Every candidate found by refinement
+    dips of |residual|, which catch tangential touches that never change
+    sign.  The last three detectors only flag grid intervals, in every
+    chart.  Flags over overlapping intervals are grouped, and each group is
+    refined once, by its sharpest flag (crossing, then cone, then dip; in
+    ``CHART_IDS`` order) that refinement accepts.  Every refined candidate
     is verified against an actual count drop or near-singular flag before
     being reported.
     """
@@ -200,7 +190,7 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
         vals = spec.values()
         values[: len(vals), i] = vals
 
-    # None: refinement rejected it; a _Candidate still awaits verification
+    # a _Candidate awaits verification; None: rejected
     candidates: list[SingularEvent | _Candidate | None] = []
 
     def neighbor_counts(i):
@@ -225,48 +215,49 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
                 SingularEvent(float(grid[i]), (float(grid[i]), float(grid[i])), "grid", int(counts[i]), cl, cr)
             )
 
-    def pending_event(point, nu, bracket, kind, count_left=None, count_right=None,
-                      residual_collapsed=False):
-        """A refined candidate, verified with the others after the last
-        detector (:meth:`_Candidate.verified`); None where unresolvable."""
-        if point is None:
-            return None
-        i_near = int(np.argmin(np.abs(grid - nu)))
-        ref = counts[i_near] if counts[i_near] >= 0 else None
-        cl = count_left if count_left is not None else ref
-        cr = count_right if count_right is not None else ref
-        return _Candidate(
-            point.problem, SingularEvent(nu, bracket, kind, None, cl, cr), ref, residual_collapsed
-        )
-
-    def point_at(nu, chart) -> _Point | None:
-        """The point at a refinement parameter, with the test of the one
-        chart being refined; None where unresolvable."""
+    def field_at(nu, chart, coord):
+        """The problem at a refinement parameter and field ``coord`` of one
+        chart's test there (None where the chart does not cover it); (None,
+        None) where the family is unresolvable."""
         try:
             problem = family.resolve(nu)
         except UnresolvableFamily:
-            return None
-        return _Point(problem, _chart_tests(problem.bc, problem.equation.f[0], (chart,)))
+            return None, None
+        test = _chart_tests(problem.bc, problem.equation.f[0], (chart,)).get(chart)
+        return problem, getattr(test, coord) if test is not None else None
 
-    def refined_sign_change(chart, coord, i, v_lo, v_hi, kind, count_left=None,
-                            count_right=None):
-        """Bisect a sign change of one chart-test field between grid[i] and
-        grid[i + 1], discard a flip through a pole, verify the zero."""
-        lo, hi = _bisect_zero(
-            lambda nu: _test_value(point_at(nu, chart), chart, coord),
-            grid[i], grid[i + 1], v_lo, v_hi,
-        )
-        nu0 = float(0.5 * (lo + hi))
-        point = point_at(nu0, chart)
-        v_mid = _test_value(point, chart, coord)
-        if v_mid is not None and abs(v_mid) > min(abs(v_lo), abs(v_hi)):
+    def refined(first, last, kind, chart, coord, v_lo, v_hi):
+        """The candidate refined from one flag, None where refinement
+        rejects it: a sign change is bisected and a flip through a pole
+        discarded; a dip of |field| is minimized to machine width."""
+        if kind == "dip":
+            def abs_field(nu):
+                value = field_at(nu, chart, coord)[1]
+                return abs(value) if value is not None else math.inf
+
+            lo = hi = nu0 = float(_golden_min(abs_field, grid[first], grid[last]))
+        else:
+            lo, hi = _bisect_zero(
+                lambda nu: field_at(nu, chart, coord)[1], grid[first], grid[last], v_lo, v_hi
+            )
+            nu0 = float(0.5 * (lo + hi))
+        problem, v_mid = field_at(nu0, chart, coord)
+        if problem is None:
+            return None
+        if kind != "dip" and v_mid is not None and abs(v_mid) > min(abs(v_lo), abs(v_hi)):
             return None  # the sign flipped through a pole, not a zero
-        return pending_event(
-            point, nu0, (float(lo), float(hi)), kind, count_left, count_right,
+        i_near = int(np.argmin(np.abs(grid - nu0)))
+        ref = counts[i_near] if counts[i_near] >= 0 else None
+        cl, cr = (int(counts[first]), int(counts[last])) if kind == "crossing" else (ref, ref)
+        return _Candidate(
+            problem, SingularEvent(nu0, (float(lo), float(hi)), kind, None, cl, cr), ref,
             residual_collapsed=v_mid is not None
             and abs(v_mid) <= 1e-6 * max(abs(v_lo), abs(v_hi)),
         )
 
+    # the detectors only flag: (first grid index, last grid index, kind,
+    # chart, field, value at first, value at last)
+    flags = []
     for chart, stacked in _chart_test_stack(resolved).items():
         # the test fields over the grid, NaN where the family is unresolvable
         fields = {}
@@ -284,15 +275,9 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             if on_set[i] or on_set[i + 1]:
                 continue
             if (res[i] > 0) != (res[i + 1] > 0):
-                candidates.append(refined_sign_change(
-                    chart, "residual", i, res[i], res[i + 1], "crossing",
-                    int(counts[i]), int(counts[i + 1]),
-                ))
-        # tangential touches: refine interior dips of |residual| and verify
-        def abs_residual(point):
-            value = _test_value(point, chart, "residual")
-            return abs(value) if value is not None else float("inf")
-
+                flags.append((i, i + 1, "crossing", chart, "residual", res[i], res[i + 1]))
+        # tangential touches, which never change sign: interior dips of
+        # |residual|
         for i in range(1, grid_size - 1):
             if not (live[i - 1] and live[i] and live[i + 1]):
                 continue
@@ -302,15 +287,7 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             # a symmetric touch can split its dip over two equal grid
             # values; break the tie toward the left point
             if trio[1] < trio[0] and trio[1] <= trio[2]:
-                nu0 = float(_golden_min(
-                    lambda nu: abs_residual(point_at(nu, chart)), grid[i - 1], grid[i + 1]
-                ))
-                point = point_at(nu0, chart)
-                # the minimizer is located to machine width and verified
-                candidates.append(pending_event(
-                    point, nu0, (nu0, nu0), "dip",
-                    residual_collapsed=abs_residual(point) <= 1e-6 * max(trio[0], trio[2]),
-                ))
+                flags.append((i - 1, i + 1, "dip", chart, "residual", trio[0], trio[2]))
         # stretches inside a rank-one set: a double degeneracy announces
         # itself by a sign change of a cone coordinate
         if chart not in ("O13", "O23"):
@@ -324,16 +301,31 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
                 if abs(vi) <= cone_tol[i] or abs(vj) <= cone_tol[i + 1]:
                     continue
                 if (vi > 0) != (vj > 0):
-                    candidates.append(refined_sign_change(chart, coord, i, vi, vj, "cone"))
+                    flags.append((i, i + 1, "cone", chart, coord, vi, vj))
 
-    refined = [i for i, ev in enumerate(candidates) if isinstance(ev, _Candidate)]
-    for i, spec in zip(refined, _spectra_or_none([candidates[i].problem for i in refined])):
+    # flags over overlapping intervals observe one parameter: each group is
+    # refined once, by its first flag in (kind rank, chart) order that
+    # refinement accepts.  Flags sharing only an end point stay apart, as
+    # two events can sit in adjacent intervals; the largest jump of a field
+    # does not decide, since next to a chart boundary it is the pole flip.
+    flags.sort(key=lambda flag: flag[:2])
+    groups, reach = [], -1
+    for flag in flags:
+        if flag[0] >= reach:
+            groups.append([])
+        groups[-1].append(flag)
+        reach = max(reach, flag[1])
+    for group in groups:
+        group.sort(key=lambda flag: (_KIND_RANK[flag[2]], CHART_IDS.index(flag[3])))
+        candidates.append(next((c for c in starmap(refined, group) if c is not None), None))
+
+    waiting = [i for i, ev in enumerate(candidates) if isinstance(ev, _Candidate)]
+    for i, spec in zip(waiting, _spectra_or_none([candidates[i].problem for i in waiting])):
         candidates[i] = candidates[i].verified(spec)
 
     # dedupe: keep the sharpest observation of each parameter
-    rank = {"grid": 0, "crossing": 1, "cone": 2, "dip": 3, "degenerate": 4}
     candidates = [ev for ev in candidates if ev is not None]
-    candidates.sort(key=lambda e: (e.nu, rank[e.kind]))
+    candidates.sort(key=lambda e: (e.nu, _KIND_RANK[e.kind]))
     events: list[SingularEvent] = []
     min_sep = max(1e-7 * span, 64.0 * _EPS)
     for ev in candidates:
@@ -582,7 +574,7 @@ class MonotonicityReport:
         return not self.violations
 
 
-def _rule_for_axis(family: Family) -> str:
+def _rule_for_axis(family: Family, grid_size: int) -> str:
     axis = family.axis
     kind = axis[0]
     if kind == "alpha":
@@ -594,10 +586,10 @@ def _rule_for_axis(family: Family) -> str:
     if kind == "w":
         return "abs_non_increasing"
     if kind in ("inv_f", "f"):
-        j = axis[1]
-        mid = 0.5 * (family.domain[0] + family.domain[1])
-        n = family.resolve(mid).equation.N
-        if j == n:
+        # N where the grid resolves: a flagged parameter (1/f_j = 0) may not
+        problems = (_grid_problem(family, nu) for nu in family.grid(grid_size))
+        first = next((p for p in problems if p is not None), None)
+        if first is not None and axis[1] == first.equation.N:
             return "constant"
         return "non_increasing" if kind == "inv_f" else "non_decreasing"
     if kind == "chart":
@@ -625,7 +617,7 @@ def check_monotonicity(family: Family, direction=None, grid_size: int = 65) -> M
         raise FamilyNotAxisAligned(
             f"family sweeps {family.axis!r}, not {tuple(direction)!r}"
         )
-    rule = _rule_for_axis(family)
+    rule = _rule_for_axis(family, grid_size)
     tr = trace(family, grid_size)
     violations: list[MonotonicityViolation] = []
     # constant-count stretches, additionally split at detected singular

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import slpkit as sk
-from slpkit import spectra, tracing
+from slpkit import fixtures, spectra, tracing
 from slpkit.errors import DegreeMismatch, NonRealRoot
 from slpkit.fixtures import builtin_family, free_equation
 from slpkit.oracles import pencil_eigenvalues_separated
@@ -332,7 +332,15 @@ def test_jump_errors_come_in_limit_left_right_order(monkeypatch):
 
 
 def test_trace_errors_come_in_candidate_order(monkeypatch):
-    tagged = _Tagged(_sweep_n12_family(1))
+    # a separated family touching the alpha = xi(f_0) set near pi, 2 pi and
+    # 3 pi: one refined candidate per event
+    eq4 = fixtures._fixture_equation_n4()
+    xi = sk.xi_of(eq4.f[0])
+    family = sk.Family(
+        "separated-angle", (0.0, 10.0),
+        lambda nu: sk.Problem(eq4, sk.separated_matrix(xi + 0.3 * math.sin(nu), 1.9)),
+    )
+    tagged = _Tagged(family)
     solves = []
 
     def recorded(problems):

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 import slpkit as sk
+from slpkit import tracing
 from slpkit.errors import FamilyNotAxisAligned
 from slpkit.fixtures import builtin_family, free_equation
 
 from conftest import random_equation
+from test_batching import _sweep_n12_family
 
 
 class TestTrace:
@@ -87,6 +89,35 @@ class TestTrace:
         # never evaluates any other grid point again
         again = set(calls[len(grid) :]) & set(grid)
         assert again <= {ev.nu for ev in tr.events}
+
+    def test_n12_transversal_crossing_reported_as_crossing(self):
+        tr = sk.trace(_sweep_n12_family(1), 256)
+        assert [ev.kind for ev in tr.events] == ["crossing"]
+
+    @pytest.mark.parametrize(
+        "family, grid_size",
+        [(builtin_family(name), 512) for name in ("ex1.1", "ex2.1", "ex3.1")]
+        + [(_sweep_n12_family(1), 256)],
+        ids=["ex1.1", "ex2.1", "ex3.1", "n12-seed1"],
+    )
+    def test_each_singular_parameter_refined_once(self, monkeypatch, family, grid_size):
+        launches = []
+        for name in ("_bisect_zero", "_golden_min"):
+            refine = getattr(tracing, name)
+            monkeypatch.setattr(
+                tracing, name, lambda *a, refine=refine: (launches.append(a), refine(*a))[1]
+            )
+        calls = []
+        resolve_fn = family.resolve_fn
+        family = dataclasses.replace(
+            family, resolve_fn=lambda nu: (calls.append(nu), resolve_fn(nu))[1]
+        )
+        tr = sk.trace(family, grid_size)
+        events = len(tr.events)
+        assert events and len(launches) == events
+        refinement = calls[grid_size:]
+        assert len(refinement) <= 70 * events
+        assert len(refinement) - len(set(refinement)) <= events
 
     def test_minimum_grid_size(self):
         with pytest.raises(ValueError):
@@ -195,6 +226,16 @@ class TestMonotonicity:
             eq, sk.separated_matrix(0.3, 2.0), ("inv_f", 1), 0.4, 2.5
         )
         report = sk.check_monotonicity(fam)
+        assert report.rule == "non_increasing"
+        assert report.ok
+
+    @pytest.mark.parametrize("grid_size", [64, 65])
+    def test_inv_f_sweep_through_its_flagged_parameter(self, grid_size):
+        # 1/f_0 = 0, the domain's midpoint, is the family's flagged parameter
+        eq = sk.fixtures._fixture_equation_n4()
+        bc = sk.validate_bc(np.array(sk.fixtures.COUPLING_BC))
+        fam = sk.equation_axis_family(eq, bc, ("inv_f", 0), -1.0, 1.0)
+        report = sk.check_monotonicity(fam, grid_size=grid_size)
         assert report.rule == "non_increasing"
         assert report.ok
 
