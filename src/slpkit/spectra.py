@@ -14,7 +14,9 @@ difference equation in polynomial arithmetic, has these eigenvalues as its
 real zeros.  It decides no eigenvalue; it gates the count: where its
 trimmed degree disagrees with N - 2 + r the problem sits in the tolerance
 gap next to a discontinuity set, and a relatively tiny leading coefficient
-flags a near-singular problem.
+flags a near-singular problem.  A batch runs the fundamental-solution
+recursion once per lattice length for all its distinct equations and
+combines the coefficients of all its problems of that length at once.
 """
 
 from __future__ import annotations
@@ -77,46 +79,55 @@ class FundamentalSolutions:
     fdpsi_N: Polynomial
 
 
-def _run_polynomial_recursion(f, q, w, y0: float, u0: float):
-    """Advance (y, u) with u_n = u_{n-1} + (q_n - lam*w_n)*y_n and
-    y_n = y_{n-1} + u_{n-1}/f_{n-1}, carrying coefficient arrays.
+def _boundary_stack(equations) -> np.ndarray:
+    """phi_N, psi_N, fdphi_N and fdpsi_N of k equations of one lattice
+    length N, as a (k, 4, N+1) array of coefficients.
 
-    Every 8 steps the pair is rescaled by a power of two (exact in floating
-    point) to keep intermediate products in range; the accumulated exponent
-    is folded back at the end.
+    One recursion advances (y, u) with u_n = u_{n-1} + (q_n - lam*w_n)*y_n
+    and y_n = y_{n-1} + u_{n-1}/f_{n-1}, carrying coefficient arrays, on a
+    (2, k, N+1) stack: the phi rows start at (y_0, u_0) = (1, 0) and the psi
+    rows at (0, 1).  Every 8 steps each row is rescaled on its own by a
+    power of two (exact in floating point) to keep intermediate products in
+    range; the accumulated exponents are folded back at the end.
     """
+    k = len(equations)
+    if k == 1:  # Python floats, which numpy applies to the stack as scalars
+        f, q, w = equations[0].f, equations[0].q, equations[0].w
+    else:  # per step, a (k, 1) column that the phi and psi rows share
+        f, q, w = (
+            np.array([getattr(eq, name) for eq in equations]).T[:, :, None] for name in "fqw"
+        )
     n_pts = len(q)
-    y = np.zeros(n_pts + 1)
-    u = np.zeros(n_pts + 1)
-    y[0] = y0
-    u[0] = u0
-    exp2 = 0
+    # y and u of the phi and psi rows: yu[0, 0] is phi_N, yu[1, 1] fdpsi_N
+    yu = np.zeros((2, 2, k, n_pts + 1))
+    y, u = yu
+    y[0, :, 0] = 1.0
+    u[1, :, 0] = 1.0
+    y_rows, u_rows = y.reshape(2 * k, -1), u.reshape(2 * k, -1)  # views
+    exp2 = np.zeros(2 * k, dtype=np.int64)
     for n in range(1, n_pts + 1):
-        y = y + u / f[n - 1]
-        u_new = u + q[n - 1] * y
-        u_new[1:] -= w[n - 1] * y[:-1]
-        u = u_new
+        y += u / f[n - 1]
+        u += q[n - 1] * y
+        u[:, :, 1:] -= w[n - 1] * y[:, :, :-1]
         if n % 8 == 0:
-            top = max(float(np.abs(y).max()), float(np.abs(u).max()))
-            if top > 0.0 and not 2.0**-64 < top < 2.0**64:
-                shift = -int(math.floor(math.log2(top)))
-                y = np.ldexp(y, shift)
-                u = np.ldexp(u, shift)
-                exp2 -= shift
-    if exp2:
-        y = np.ldexp(y, exp2)
-        u = np.ldexp(u, exp2)
-    return y, u
+            y_top, u_top = np.abs(y_rows).max(axis=1), np.abs(u_rows).max(axis=1)
+            top = np.where(u_top > y_top, u_top, y_top)  # Python's max(y_top, u_top)
+            rows = np.flatnonzero((top > 0.0) & ~((2.0**-64 < top) & (top < 2.0**64)))
+            if rows.size:
+                shift = np.array([-math.floor(math.log2(t)) for t in top[rows].tolist()])
+                y_rows[rows] = np.ldexp(y_rows[rows], shift[:, None])
+                u_rows[rows] = np.ldexp(u_rows[rows], shift[:, None])
+                exp2[rows] -= shift
+    if exp2.any():
+        np.ldexp(y_rows, exp2[:, None], out=y_rows)
+        np.ldexp(u_rows, exp2[:, None], out=u_rows)
+    return np.ascontiguousarray(yu.reshape(4, k, n_pts + 1).swapaxes(0, 1))
 
 
 @functools.lru_cache(maxsize=256)
 def fundamental_solutions(eq: Equation) -> FundamentalSolutions:
     """Boundary polynomials of the fundamental solutions of ``eq``."""
-    phi, fdphi = _run_polynomial_recursion(eq.f, eq.q, eq.w, 1.0, 0.0)
-    psi, fdpsi = _run_polynomial_recursion(eq.f, eq.q, eq.w, 0.0, 1.0)
-    return FundamentalSolutions(
-        Polynomial(phi), Polynomial(psi), Polynomial(fdphi), Polynomial(fdpsi)
-    )
+    return FundamentalSolutions(*map(Polynomial, _boundary_stack([eq])[0]))
 
 
 def leading_coefficients(eq: Equation) -> tuple:
@@ -161,15 +172,13 @@ def _det2(m) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
-def _char_poly_rows(fs: FundamentalSolutions, matrices: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Characteristic-polynomial coefficients of the equation with
-    fundamental solutions ``fs`` and each boundary matrix of a (k, 2, 4)
-    stack, whose c matrices are ``c``, one row each."""
-    boundary = np.array(
-        [fs.phi_N.coeffs, fs.psi_N.coeffs, fs.fdphi_N.coeffs, fs.fdpsi_N.coeffs], dtype=complex
-    )
+def _char_poly_rows(boundary: np.ndarray, matrices: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Characteristic-polynomial coefficients of each boundary matrix of a
+    (B, 2, 4) stack, whose c matrices are ``c``, one row each: ``boundary``
+    holds the complex phi_N, psi_N, fdphi_N and fdpsi_N rows of their
+    equations, as one (4, N+1) array they share or a (B, 4, N+1) stack."""
     terms = c.reshape(-1, 4, 1) * boundary  # c_11 phi, c_12 psi, c_21 fdphi, c_22 fdpsi
-    coeffs = np.zeros((len(matrices), boundary.shape[1]), dtype=complex)
+    coeffs = np.zeros((len(matrices), boundary.shape[-1]), dtype=complex)
     for j in range(4):
         coeffs += terms[:, j]
     # scalar products: array complex products may round differently (fused
@@ -188,7 +197,10 @@ def char_poly(problem: Problem) -> Polynomial:
     """
     m = problem.bc.matrix[None]
     fs = fundamental_solutions(problem.equation)
-    return Polynomial(_char_poly_rows(fs, m, _c_matrices(m))[0])
+    boundary = np.array(
+        [fs.phi_N.coeffs, fs.psi_N.coeffs, fs.fdphi_N.coeffs, fs.fdpsi_N.coeffs], dtype=complex
+    )
+    return Polynomial(_char_poly_rows(boundary, m, _c_matrices(m))[0])
 
 
 def rank_matrix(problem: Problem) -> np.ndarray:
@@ -353,10 +365,10 @@ def _eigenvalues_many(problems, recover=None) -> list:
     count gate; its slot then holds the sorted eigenvalues of that pencil,
     unchecked, in place of the DegreeMismatch."""
     results: list = [None] * len(problems)
-    gammas, ranks = _count_data(problems)
+    degrees, near, ranks = _count_data(problems)
     solve: dict = {}  # index -> rank of its pencil
-    for i, (problem, gamma, r) in enumerate(zip(problems, gammas, ranks.tolist())):
-        degree, expected = gamma.degree(), problem.equation.N - 2 + r
+    for i, (problem, degree, r) in enumerate(zip(problems, degrees, ranks)):
+        expected = problem.equation.N - 2 + r
         if degree == expected:
             solve[i] = r
             continue
@@ -370,16 +382,17 @@ def _eigenvalues_many(problems, recover=None) -> list:
         elif not residue <= TOL.real_root:  # NaN included
             results[i] = NonRealRoot(residue)
         else:
-            problem, coeffs = problems[i], gammas[i].coeffs
-            n = problem.equation.N
-            expected = n - 2 + r
-            top = float(np.abs(coeffs).max())
+            problem, found = problems[i], values.tolist()
+            if any(b - a <= TOL.cluster * (1.0 + abs(b)) for a, b in zip(found, found[1:])):
+                clusters = _cluster_real_roots(values)
+            else:  # no gap to merge: v + 0.0 is what clustering makes of each
+                clusters = tuple((v + 0.0, 1) for v in found)
             results[i] = Spectrum(
-                eigenvalues=_cluster_real_roots(values),
-                predicted_count=expected,
+                eigenvalues=clusters,
+                predicted_count=problem.equation.N - 2 + r,
                 r=r,
                 theta=complex(theta(problem)),
-                near_singular=bool(expected == n and abs(coeffs[n]) < TOL.near_singular * top),
+                near_singular=near[i],
             )
     return results
 
@@ -471,24 +484,54 @@ def _pencil_eigenvalues(problems, ranks) -> list:
 
 
 def _count_data(problems) -> tuple:
-    """The characteristic polynomials and ``rank_r`` of a list of problems:
-    one SVD for all rank matrices, one matmul for all c matrices and one
-    coefficient combination per set of fundamental solutions, looked up
-    per problem as ``char_poly`` does.  Each carries the bits of
-    :func:`char_poly` and :func:`rank_r`."""
+    """The trimmed degree of the characteristic polynomial, the
+    near-singular flag (r = 2 and a leading coefficient below
+    ``TOL.near_singular`` times the largest one) and ``rank_r`` of every
+    problem, as three lists.  A batch takes one SVD for all rank matrices,
+    one matmul for all c matrices, and per lattice length one
+    fundamental-solution recursion and one coefficient combination
+    (:func:`_char_poly_stacks`), whose moduli give the degrees and flags.
+    Each carries the bits of :func:`char_poly`, ``Polynomial.degree`` and
+    :func:`rank_r`."""
     if len(problems) == 1:  # nothing to stack
-        return [char_poly(problems[0])], np.array([rank_r(problems[0])])
+        problem = problems[0]
+        gamma, r = char_poly(problem), rank_r(problem)
+        coeffs, n = gamma.coeffs, problem.equation.N
+        near = r == 2 and abs(coeffs[n]) < TOL.near_singular * float(np.abs(coeffs).max())
+        return [gamma.degree()], [bool(near)], [r]
     matrices = np.array([p.bc.matrix for p in problems]).reshape(-1, 2, 4)
     ranks = _ranks(matrices, np.array([p.equation.f[0] for p in problems]))
-    c = _c_matrices(matrices)
-    # problems that share an equation share its (cached) fundamental solutions
-    groups: dict = {}  # id -> (fundamental solutions, indices of their problems)
+    degrees = np.empty(len(problems), dtype=int)
+    near = np.empty(len(problems), dtype=bool)
+    for members, coeffs in _char_poly_stacks(problems, matrices, _c_matrices(matrices)):
+        mags = np.abs(coeffs)
+        top = mags.max(axis=1)
+        kept = mags > TOL.trim * top[:, None]
+        n = coeffs.shape[1] - 1
+        degrees[members] = np.where(kept.any(axis=1), n - kept[:, ::-1].argmax(axis=1), -1)
+        # np.hypot of the parts, not np.abs, carries the bits of the scalar abs
+        lead = coeffs[:, n]
+        near[members] = np.hypot(lead.real, lead.imag) < TOL.near_singular * top
+    return degrees.tolist(), (near & (ranks == 2)).tolist(), ranks.tolist()
+
+
+def _char_poly_stacks(problems, matrices: np.ndarray, c: np.ndarray):
+    """The characteristic-polynomial coefficients of a list of problems,
+    whose boundary matrices and c matrices are the stacks ``matrices`` and
+    ``c``: for each lattice length N, the indices of its problems and their
+    (B, N+1) coefficients, from one :func:`_boundary_stack` of the distinct
+    equations (by identity) and one :func:`_char_poly_rows`."""
+    by_length: dict = {}  # N -> (row of each equation by id, equations, problem indices, rows)
     for i, problem in enumerate(problems):
-        fs = fundamental_solutions(problem.equation)
-        groups.setdefault(id(fs), (fs, []))[1].append(i)
-    gammas: list = [None] * len(problems)
-    for fs, members in groups.values():
-        rows = members if len(groups) > 1 else slice(None)  # no gather for one
-        for i, coeffs in zip(members, _char_poly_rows(fs, matrices[rows], c[rows])):
-            gammas[i] = Polynomial(coeffs)
-    return gammas, ranks
+        eq = problem.equation
+        rows, equations, members, eq_rows = by_length.setdefault(eq.N, ({}, [], [], []))
+        if id(eq) not in rows:
+            rows[id(eq)] = len(equations)
+            equations.append(eq)
+        members.append(i)
+        eq_rows.append(rows[id(eq)])
+    for _, equations, members, eq_rows in by_length.values():
+        boundary = _boundary_stack(equations).astype(complex)
+        boundary = boundary[0] if len(equations) == 1 else boundary[eq_rows]
+        picked = members if len(by_length) > 1 else slice(None)  # no gather for one
+        yield members, _char_poly_rows(boundary, matrices[picked], c[picked])

@@ -7,6 +7,7 @@ that the command line can retune them in one place.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 
 
@@ -42,13 +43,23 @@ _FIELD_NAMES = {f.name for f in fields(Tolerances)}
 
 def apply_overrides(overrides: dict) -> None:
     """Retune thresholds process-wide; values must be positive and, except
-    for ``divergence``, at most 1e-2."""
+    for ``divergence``, at most 1e-2.  The whole mapping is checked before
+    any threshold changes: a non-object, an unknown name (KeyError) or a
+    non-numeric or out-of-range value (ValueError) leaves every threshold
+    as it was."""
+    if not isinstance(overrides, dict):
+        raise ValueError(f"tolerance overrides must be an object, got {overrides!r}")
+    checked = {}
     for key, value in overrides.items():
         if key not in _FIELD_NAMES:
             raise KeyError(f"unknown tolerance {key!r}")
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"tolerance {key!r} must be a number, got {value!r}")
         value = float(value)
         if not value > 0.0:
             raise ValueError(f"tolerance {key!r} must be positive, got {value}")
         if key != "divergence" and value > 1e-2:
             raise ValueError(f"tolerance {key!r} must be <= 1e-2, got {value}")
+        checked[key] = value
+    for key, value in checked.items():
         setattr(TOL, key, value)

@@ -57,8 +57,9 @@ def _n12_k11_family(seed):
 
 @pytest.mark.parametrize(
     "family, grid_size",
-    [(builtin_family("ex1.1"), 257), (_n12_k11_family(12), 65)],
-    ids=["ex1.1", "n12-k11"],
+    [(builtin_family("ex1.1"), 257), (builtin_family("ex2.1"), 257),
+     (builtin_family("ex3.1"), 257), (_n12_k11_family(12), 65)],
+    ids=["ex1.1", "ex2.1", "ex3.1", "n12-k11"],
 )
 def test_trace_grid_equals_per_point_eigenvalues(family, grid_size):
     values, counts, near = _per_point(family, grid_size)

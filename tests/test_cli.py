@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 
@@ -349,6 +350,19 @@ class TestTolOverrides:
         monkeypatch.setenv("SLP_TOL_OVERRIDES", '{"cluster": 0.5}')
         path = write(tmp_path / "p.json", ex31_problem_json(2.0))
         assert main(["spectrum", "-i", path]) == 2
+
+    @pytest.mark.parametrize("raw", ["[1]", '{"cluster": null}', '{"rank": 1e-10, "bogus": 1}'])
+    def test_malformed_override_rejected_untouched(self, raw, tmp_path, monkeypatch, capsys):
+        """A non-object, a non-numeric value or an unknown name exits 2
+        with BadTolerances and leaves every tolerance as it was."""
+        import slpkit
+
+        before = dataclasses.asdict(slpkit.TOL)
+        monkeypatch.setenv("SLP_TOL_OVERRIDES", raw)
+        path = write(tmp_path / "p.json", ex31_problem_json(2.0))
+        assert main(["spectrum", "-i", path]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "BadTolerances"
+        assert dataclasses.asdict(slpkit.TOL) == before
 
 
 class TestRoundTrip:

@@ -75,18 +75,53 @@ def _reference_chart_tests(bc, f0):
     return out
 
 
+def _run_polynomial_recursion(f, q, w, y0: float, u0: float):
+    """Advance (y, u) with u_n = u_{n-1} + (q_n - lam*w_n)*y_n and
+    y_n = y_{n-1} + u_{n-1}/f_{n-1}, carrying coefficient arrays.
+
+    Every 8 steps the pair is rescaled by a power of two (exact in floating
+    point) to keep intermediate products in range; the accumulated exponent
+    is folded back at the end.
+    """
+    n_pts = len(q)
+    y = np.zeros(n_pts + 1)
+    u = np.zeros(n_pts + 1)
+    y[0] = y0
+    u[0] = u0
+    exp2 = 0
+    for n in range(1, n_pts + 1):
+        y = y + u / f[n - 1]
+        u_new = u + q[n - 1] * y
+        u_new[1:] -= w[n - 1] * y[:-1]
+        u = u_new
+        if n % 8 == 0:
+            top = max(float(np.abs(y).max()), float(np.abs(u).max()))
+            if top > 0.0 and not 2.0**-64 < top < 2.0**64:
+                shift = -int(math.floor(math.log2(top)))
+                y = np.ldexp(y, shift)
+                u = np.ldexp(u, shift)
+                exp2 -= shift
+    if exp2:
+        y = np.ldexp(y, exp2)
+        u = np.ldexp(u, exp2)
+    return y, u
+
+
 def _reference_char_poly(problem):
-    """Coefficients combined per problem, with a numpy-scalar constant term."""
+    """Coefficients combined per problem from one recursion per fundamental
+    solution, with a numpy-scalar constant term."""
     a, b = problem.bc.A, problem.bc.B
-    fs = spectra.fundamental_solutions(problem.equation)
+    eq = problem.equation
+    phi, fdphi = _run_polynomial_recursion(eq.f, eq.q, eq.w, 1.0, 0.0)
+    psi, fdpsi = _run_polynomial_recursion(eq.f, eq.q, eq.w, 0.0, 1.0)
     c = np.array([[b[0, 0], b[1, 0]], [b[0, 1], b[1, 1]]]) @ np.array(
         [[a[1, 1], -a[1, 0]], [-a[0, 1], a[0, 0]]]
     )
-    coeffs = np.zeros(problem.equation.N + 1, dtype=complex)
-    coeffs += c[0, 0] * fs.phi_N.coeffs
-    coeffs += c[0, 1] * fs.psi_N.coeffs
-    coeffs += c[1, 0] * fs.fdphi_N.coeffs
-    coeffs += c[1, 1] * fs.fdpsi_N.coeffs
+    coeffs = np.zeros(eq.N + 1, dtype=complex)
+    coeffs += c[0, 0] * phi
+    coeffs += c[0, 1] * psi
+    coeffs += c[1, 0] * fdphi
+    coeffs += c[1, 1] * fdpsi
     coeffs[0] += (a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]) + (b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0])
     return coeffs
 
@@ -196,18 +231,71 @@ def test_normalize_to_chart_keeps_its_coordinates_and_errors():
         sk.normalize_to_chart(gap, "O13")
 
 
+def _mixed_length_batch(seed=727):
+    """Distinct equations at N in {2, 12, 64, 128} whose w and f span six
+    decades, so that their recursions leave [2^-64, 2^64] and rescale at
+    different steps, and one N = 12 equation that grows far faster, each
+    with a random condition; the last two problems share one Equation
+    object."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for k in range(48):
+        n = (2, 12, 64, 128)[k % 4]
+        f = rng.choice([-1.0, 1.0], n + 1) * 10.0 ** rng.uniform(-3.0, 3.0, n + 1)
+        q = rng.uniform(-2.0, 2.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        w = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        eq = sk.validate_equation(f, q, w)
+        bc = (random_separated, random_coupled)[k % 2](rng)
+        if k % 3 == 2:
+            bc = sk.validate_bc(random_invertible(rng) @ bc.matrix)
+        problems.append(sk.Problem(eq, bc))
+    # w/f near 1e37 for 8 steps takes this N = 12 recursion to about 2^990
+    # where the other N = 12 rows stay near 1: one shift for all rows would
+    # push their small coefficients below the normal range
+    w = np.concatenate([np.full(8, 1e37), np.full(4, 1e-37)])
+    eq = sk.validate_equation(np.ones(13), rng.uniform(-2.0, 2.0, 12), w)
+    problems.append(sk.Problem(eq, random_separated(rng)))
+    problems.append(sk.Problem(problems[-1].equation, random_coupled(rng)))
+    return problems
+
+
+def _check_count_data(problems):
+    """Coefficients, trimmed degrees, near-singular flags and ranks of the
+    stacks equal those of one-problem references; returns the flags, the
+    ranks and how many polynomials leave [2^-64, 2^64]."""
+    matrices = np.array([p.bc.matrix for p in problems])
+    c = spectra._c_matrices(matrices)
+    coeffs = [None] * len(problems)
+    for members, rows in spectra._char_poly_stacks(problems, matrices, c):
+        for i, row in zip(members, rows):
+            coeffs[i] = row
+    degrees, near, ranks = spectra._count_data(problems)
+    wide = 0
+    for i, problem in enumerate(problems):
+        want = _reference_char_poly(problem)
+        assert _bits(coeffs[i]).tolist() == _bits(want).tolist(), i
+        assert _bits(sk.char_poly(problem).coeffs).tolist() == _bits(want).tolist(), i
+        r = _reference_rank(problem)
+        assert ranks[i] == sk.rank_r(problem) == r, i
+        assert degrees[i] == spectra.Polynomial(want).degree(), i
+        top, n = float(np.abs(want).max()), problem.equation.N
+        assert near[i] == (r == 2 and abs(want[n]) < TOL.near_singular * top), i
+        wide += not 2.0**-64 < top < 2.0**64
+    return near, ranks, wide
+
+
 def test_stacked_count_data_equal_char_poly_and_rank_r():
     """The sweep-n12 seed-2 grid holds problems whose constant term moves
-    in its last bit when the determinants are taken as array products."""
+    in its last bit when the determinants are taken as array products; the
+    mixed-length batch stacks distinct equations whose rows rescale apart."""
     family = _sweep_n12_family(2)
     problems = [family.resolve(float(nu)) for nu in family.grid(256)] + _chart_corpus()
-    gammas, ranks = spectra._count_data(problems)
-    for problem, gamma, r in zip(problems, gammas, ranks.tolist()):
-        want = _reference_char_poly(problem)
-        assert _bits(gamma.coeffs).tolist() == _bits(want).tolist()
-        assert _bits(sk.char_poly(problem).coeffs).tolist() == _bits(want).tolist()
-        assert r == sk.rank_r(problem) == _reference_rank(problem)
-    assert set(ranks.tolist()) == {0, 1, 2}
+    _, ranks, _ = _check_count_data(problems)
+    assert set(ranks) == {0, 1, 2}
+    problems = _mixed_length_batch()
+    assert problems[-1].equation is problems[-2].equation
+    near, _, wide = _check_count_data(problems)
+    assert 0 < sum(near) < len(problems) and wide >= 20
 
 
 def test_grid_makes_no_per_point_chart_or_count_call(monkeypatch):
