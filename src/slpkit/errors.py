@@ -71,7 +71,10 @@ class NonRealRoot(SLPError):
 
 
 class IllConditioned(SLPError):
-    """Interpolated polynomial fails its out-of-sample residual check."""
+    """A computation leaves what double precision can certify: an
+    interpolated polynomial fails its out-of-sample residual check, or the
+    fundamental-solution recursion of a spectrum leaves the floating-point
+    range, so its characteristic polynomial is not finite."""
 
 
 class AssemblyError(SLPError):

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .charts import _fmax, c_point_matrix, row_span_distance
-from .errors import DegreeMismatch, NonRealRoot
+from .errors import DegreeMismatch, IllConditioned, NonRealRoot
 from .model import Equation, Problem
 from .tolerances import TOL
 
@@ -79,6 +79,7 @@ class FundamentalSolutions:
     fdpsi_N: Polynomial
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _boundary_stack(equations) -> np.ndarray:
     """phi_N, psi_N, fdphi_N and fdpsi_N of k equations of one lattice
     length N, as a (k, 4, N+1) array of coefficients.
@@ -88,7 +89,8 @@ def _boundary_stack(equations) -> np.ndarray:
     (2, k, N+1) stack: the phi rows start at (y_0, u_0) = (1, 0) and the psi
     rows at (0, 1).  Every 8 steps each row is rescaled on its own by a
     power of two (exact in floating point) to keep intermediate products in
-    range; the accumulated exponents are folded back at the end.
+    range; the accumulated exponents are folded back at the end.  A row that
+    leaves the range all the same stays non-finite, silently.
     """
     k = len(equations)
     if k == 1:  # Python floats, which numpy applies to the stack as scalars
@@ -112,7 +114,8 @@ def _boundary_stack(equations) -> np.ndarray:
         if n % 8 == 0:
             y_top, u_top = np.abs(y_rows).max(axis=1), np.abs(u_rows).max(axis=1)
             top = np.where(u_top > y_top, u_top, y_top)  # Python's max(y_top, u_top)
-            rows = np.flatnonzero((top > 0.0) & ~((2.0**-64 < top) & (top < 2.0**64)))
+            in_range = (2.0**-64 < top) & (top < 2.0**64)
+            rows = np.flatnonzero((top > 0.0) & (top < np.inf) & ~in_range)
             if rows.size:
                 shift = np.array([-math.floor(math.log2(t)) for t in top[rows].tolist()])
                 y_rows[rows] = np.ldexp(y_rows[rows], shift[:, None])
@@ -172,6 +175,7 @@ def _det2(m) -> complex:
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
+@np.errstate(invalid="ignore")  # a non-finite recursion row stays non-finite
 def _char_poly_rows(boundary: np.ndarray, matrices: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Characteristic-polynomial coefficients of each boundary matrix of a
     (B, 2, 4) stack, whose c matrices are ``c``, one row each: ``boundary``
@@ -203,14 +207,10 @@ def char_poly(problem: Problem) -> Polynomial:
     return Polynomial(_char_poly_rows(boundary, m, _c_matrices(m))[0])
 
 
-def rank_matrix(problem: Problem) -> np.ndarray:
-    """The 2x2 matrix whose rank fixes the eigenvalue count."""
-    return _rank_matrices(problem.bc.matrix, problem.equation.f[0])
-
-
 def _rank_matrices(matrices: np.ndarray, f0) -> np.ndarray:
-    """:func:`rank_matrix` of a 2x4 representative with its f_0, or of every
-    one of a (n, 2, 4) stack with an array of f_0."""
+    """The 2x2 matrix whose rank fixes the eigenvalue count, of a 2x4
+    representative with its f_0, or of every one of a (n, 2, 4) stack with
+    an array of f_0."""
     out = matrices[..., 1::2].copy()  # [a_i2, b_i2]
     out[..., 0] *= np.asarray(f0)[..., None]
     out[..., 0] -= matrices[..., 0]  # bit for bit -a_i1 + f_0 a_i2
@@ -238,7 +238,7 @@ def _ranks(matrices: np.ndarray, f0):
 
 
 def rank_r(problem: Problem) -> int:
-    """Numerical rank (0, 1, or 2) of :func:`rank_matrix`."""
+    """Numerical rank (0, 1, or 2) of :func:`_rank_matrices`."""
     return int(_ranks(problem.bc.matrix, problem.equation.f[0]))
 
 
@@ -342,7 +342,8 @@ def eigenvalues(problem: Problem) -> Spectrum:
     is not Hermitian to ``TOL.real_root``), clustered into multiplicities.
     A leading coefficient that survives trimming but is relatively tiny
     flags the spectrum as near-singular: one eigenvalue is about to escape
-    to infinity.
+    to infinity.  IllConditioned: the fundamental-solution recursion left
+    the floating-point range, so the count cannot be gated.
     """
     result = eigenvalues_many([problem])[0]
     if isinstance(result, Exception):
@@ -368,6 +369,9 @@ def _eigenvalues_many(problems, recover=None) -> list:
     degrees, near, ranks = _count_data(problems)
     solve: dict = {}  # index -> rank of its pencil
     for i, (problem, degree, r) in enumerate(zip(problems, degrees, ranks)):
+        if degree is None:  # the recursion left the floating-point range
+            results[i] = IllConditioned("characteristic polynomial is not finite")
+            continue
         expected = problem.equation.N - 2 + r
         if degree == expected:
             solve[i] = r
@@ -484,26 +488,27 @@ def _pencil_eigenvalues(problems, ranks) -> list:
 
 
 def _count_data(problems) -> tuple:
-    """The trimmed degree of the characteristic polynomial, the
-    near-singular flag (r = 2 and a leading coefficient below
-    ``TOL.near_singular`` times the largest one) and ``rank_r`` of every
-    problem, as three lists.  A batch takes one SVD for all rank matrices,
-    one matmul for all c matrices, and per lattice length one
-    fundamental-solution recursion and one coefficient combination
-    (:func:`_char_poly_stacks`), whose moduli give the degrees and flags.
-    Each carries the bits of :func:`char_poly`, ``Polynomial.degree`` and
-    :func:`rank_r`."""
+    """The trimmed degree of the characteristic polynomial (None where its
+    coefficients are not finite), the near-singular flag (r = 2 and a
+    leading coefficient below ``TOL.near_singular`` times the largest one)
+    and ``rank_r`` of every problem, as three lists.  A batch takes one SVD
+    for all rank matrices, one matmul for all c matrices, and per lattice
+    length one fundamental-solution recursion and one coefficient
+    combination (:func:`_char_poly_stacks`), whose moduli give the degrees
+    and flags.  Each carries the bits of :func:`char_poly`,
+    ``Polynomial.degree`` and :func:`rank_r`."""
     if len(problems) == 1:  # nothing to stack
         problem = problems[0]
         gamma, r = char_poly(problem), rank_r(problem)
         coeffs, n = gamma.coeffs, problem.equation.N
         near = r == 2 and abs(coeffs[n]) < TOL.near_singular * float(np.abs(coeffs).max())
-        return [gamma.degree()], [bool(near)], [r]
+        return [gamma.degree() if np.isfinite(coeffs).all() else None], [bool(near)], [r]
     matrices = np.array([p.bc.matrix for p in problems]).reshape(-1, 2, 4)
     ranks = _ranks(matrices, np.array([p.equation.f[0] for p in problems]))
     degrees = np.empty(len(problems), dtype=int)
-    near = np.empty(len(problems), dtype=bool)
+    near, finite = np.empty(len(problems), dtype=bool), np.empty(len(problems), dtype=bool)
     for members, coeffs in _char_poly_stacks(problems, matrices, _c_matrices(matrices)):
+        finite[members] = np.isfinite(coeffs).all(axis=1)
         mags = np.abs(coeffs)
         top = mags.max(axis=1)
         kept = mags > TOL.trim * top[:, None]
@@ -512,7 +517,7 @@ def _count_data(problems) -> tuple:
         # np.hypot of the parts, not np.abs, carries the bits of the scalar abs
         lead = coeffs[:, n]
         near[members] = np.hypot(lead.real, lead.imag) < TOL.near_singular * top
-    return degrees.tolist(), (near & (ranks == 2)).tolist(), ranks.tolist()
+    return np.where(finite, degrees, None).tolist(), (near & (ranks == 2)).tolist(), ranks.tolist()
 
 
 def _char_poly_stacks(problems, matrices: np.ndarray, c: np.ndarray):

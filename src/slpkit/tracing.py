@@ -151,21 +151,70 @@ def _golden_min(fn, lo, hi):
     return 0.5 * (lo + hi)
 
 
+def _count_drops(grid: np.ndarray, counts: np.ndarray) -> list:
+    """The events at grid points where the count drops, in grid order: a
+    "degenerate" event where the count is undefined (-1), a "grid" event
+    where a defined count lies below its larger defined neighbour."""
+    padded = np.concatenate(([-1], counts, [-1]))  # an undefined neighbour
+    last = len(grid) - 1
+    events = []
+    for i in np.flatnonzero((counts < 0) | (counts < np.maximum(padded[:-2], padded[2:]))).tolist():
+        cl, cr = (counts[i - 1] if i > 0 else None), (counts[i + 1] if i < last else None)
+        nu = float(grid[i])
+        if counts[i] < 0:
+            bracket = (float(grid[max(i - 1, 0)]), float(grid[min(i + 1, last)]))
+            events.append(SingularEvent(nu, bracket, "degenerate", None, cl, cr))
+        else:
+            events.append(SingularEvent(nu, (nu, nu), "grid", int(counts[i]), cl, cr))
+    return events
+
+
+def _grid_flags(chart: str, fields: dict) -> list:
+    """The flags (first grid index, last grid index, kind, chart, field,
+    value at first, value at last) of one chart's test fields over the grid,
+    whose residual is NaN where the chart or the family leaves a point out:
+    "crossing", a sign change of the residual between two points off the
+    set; "dip", an interior minimum of |residual| between two points off
+    the set (a tangential touch never changes sign), carrying the moduli at
+    its ends, where a tie goes to the left point, as a symmetric touch can
+    split its dip over two equal values; "cone", in the rank-one charts, a
+    sign change of a cone coordinate (p, then r2) between two points on the
+    set, both clear of its tolerance.  In that order, each in grid order."""
+    res = fields["residual"]
+    live = ~np.isnan(res)
+    on_set = live & (np.abs(res) <= fields["tol"])
+    off_set = live & ~on_set
+    mod = np.abs(res)
+
+    def flagged(kind, coord, values, mask, width=1):
+        return [(i, i + width, kind, chart, coord, values[i], values[i + width])
+                for i in np.flatnonzero(mask).tolist()]
+
+    def sign_change(values, where):  # between two neighbours where both hold
+        positive = values > 0
+        return where[:-1] & where[1:] & (positive[:-1] != positive[1:])
+
+    flags = flagged("crossing", "residual", res, sign_change(res, off_set))
+    dip = off_set[:-2] & live[1:-1] & off_set[2:] & (mod[1:-1] < mod[:-2]) & (mod[1:-1] <= mod[2:])
+    flags += flagged("dip", "residual", mod, dip, width=2)
+    for coord in ("p", "r2") if chart in ("O13", "O23") else ():
+        clear = on_set & ~(np.abs(fields[coord]) <= fields[coord + "_tol"])  # NaN is clear
+        flags += flagged("cone", coord, fields[coord], sign_change(fields[coord], clear))
+    return flags
+
+
 def trace(family: Family, grid_size: int) -> BranchTrace:
     """Evaluate the family on a grid and locate candidate singular
     parameters.
 
-    Detection combines: exact count drops at grid points; sign changes of
-    the signed chart residuals (transversal crossings of the discontinuity
-    sets); sign changes of the cone coordinates along stretches lying
-    inside a rank-one set (interior double-degeneracy points); and local
-    dips of |residual|, which catch tangential touches that never change
-    sign.  The last three detectors only flag grid intervals, in every
-    chart.  Flags over overlapping intervals are grouped, and each group is
-    refined once, by its sharpest flag (crossing, then cone, then dip; in
-    ``CHART_IDS`` order) that refinement accepts.  Every refined candidate
-    is verified against an actual count drop or near-singular flag before
-    being reported.
+    Detection combines exact count drops at grid points
+    (:func:`_count_drops`) with the flags of every chart's test fields
+    (:func:`_grid_flags`), which only mark grid intervals.  Flags over
+    overlapping intervals are grouped, and each group is refined once, by
+    its sharpest flag (crossing, then cone, then dip; in ``CHART_IDS``
+    order) that refinement accepts.  Every refined candidate is verified
+    against an actual count drop or near-singular flag before being
+    reported.
     """
     if grid_size < 16:
         raise ValueError("grid_size must be at least 16")
@@ -191,29 +240,7 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
         values[: len(vals), i] = vals
 
     # a _Candidate awaits verification; None: rejected
-    candidates: list[SingularEvent | _Candidate | None] = []
-
-    def neighbor_counts(i):
-        left = counts[i - 1] if i > 0 else None
-        right = counts[i + 1] if i + 1 < grid_size else None
-        return left, right
-
-    # count drops sitting exactly on a grid point
-    for i in range(grid_size):
-        if counts[i] < 0:
-            lo = grid[i - 1] if i > 0 else grid[i]
-            hi = grid[i + 1] if i + 1 < grid_size else grid[i]
-            cl, cr = neighbor_counts(i)
-            candidates.append(
-                SingularEvent(float(grid[i]), (float(lo), float(hi)), "degenerate", None, cl, cr)
-            )
-            continue
-        cl, cr = neighbor_counts(i)
-        defined = [c for c in (cl, cr) if c is not None and c >= 0]
-        if defined and counts[i] < max(defined):
-            candidates.append(
-                SingularEvent(float(grid[i]), (float(grid[i]), float(grid[i])), "grid", int(counts[i]), cl, cr)
-            )
+    candidates: list[SingularEvent | _Candidate | None] = _count_drops(grid, counts)
 
     def field_at(nu, chart, coord):
         """The problem at a refinement parameter and field ``coord`` of one
@@ -255,53 +282,12 @@ def trace(family: Family, grid_size: int) -> BranchTrace:
             and abs(v_mid) <= 1e-6 * max(abs(v_lo), abs(v_hi)),
         )
 
-    # the detectors only flag: (first grid index, last grid index, kind,
-    # chart, field, value at first, value at last)
     flags = []
     for chart, stacked in _chart_test_stack(resolved).items():
         # the test fields over the grid, NaN where the family is unresolvable
-        fields = {}
-        for name, column in stacked.items():
-            fields[name] = np.full(grid_size, np.nan)
-            fields[name][rows] = column
-        res, tols = fields["residual"], fields["tol"]
-        live = ~np.isnan(res)
-        on_set = live & (np.abs(res) <= tols)
-        # transversal crossings: a genuine sign change between two points
-        # solidly off the set
-        for i in range(grid_size - 1):
-            if not (live[i] and live[i + 1]):
-                continue
-            if on_set[i] or on_set[i + 1]:
-                continue
-            if (res[i] > 0) != (res[i + 1] > 0):
-                flags.append((i, i + 1, "crossing", chart, "residual", res[i], res[i + 1]))
-        # tangential touches, which never change sign: interior dips of
-        # |residual|
-        for i in range(1, grid_size - 1):
-            if not (live[i - 1] and live[i] and live[i + 1]):
-                continue
-            if on_set[i - 1] or on_set[i + 1]:
-                continue
-            trio = np.abs(res[i - 1 : i + 2])
-            # a symmetric touch can split its dip over two equal grid
-            # values; break the tie toward the left point
-            if trio[1] < trio[0] and trio[1] <= trio[2]:
-                flags.append((i - 1, i + 1, "dip", chart, "residual", trio[0], trio[2]))
-        # stretches inside a rank-one set: a double degeneracy announces
-        # itself by a sign change of a cone coordinate
-        if chart not in ("O13", "O23"):
-            continue
-        for coord, coord_tol in (("p", "p_tol"), ("r2", "r2_tol")):
-            cone, cone_tol = fields[coord], fields[coord_tol]
-            for i in range(grid_size - 1):
-                if not (on_set[i] and on_set[i + 1]):
-                    continue
-                vi, vj = cone[i], cone[i + 1]
-                if abs(vi) <= cone_tol[i] or abs(vj) <= cone_tol[i + 1]:
-                    continue
-                if (vi > 0) != (vj > 0):
-                    flags.append((i, i + 1, "cone", chart, coord, vi, vj))
+        fields = np.full((len(stacked), grid_size), np.nan)
+        fields[:, rows] = list(stacked.values())
+        flags += _grid_flags(chart, dict(zip(stacked, fields)))
 
     # flags over overlapping intervals observe one parameter: each group is
     # refined once, by its first flag in (kind rank, chart) order that
@@ -574,17 +560,24 @@ class MonotonicityReport:
         return not self.violations
 
 
+_AXIS_RULES = {"alpha": "non_increasing", "beta": "non_decreasing",
+               "q": "non_decreasing", "w": "abs_non_increasing"}
+
+# the excess of a step x0 -> x1 over each rule's slack, given
+# 1 + max(|x0|, |x1|); positive where the step violates the rule
+_EXCESS = {
+    "non_decreasing": lambda x0, x1, scale: x0 - x1 - 1e-9 * scale,
+    "non_increasing": lambda x0, x1, scale: x1 - x0 - 1e-9 * scale,
+    "abs_non_increasing": lambda x0, x1, scale: np.abs(x1) - np.abs(x0) - 1e-9 * scale,
+    "constant": lambda x0, x1, scale: np.abs(x1 - x0) - 1e-12 * scale,
+}
+
+
 def _rule_for_axis(family: Family, grid_size: int) -> str:
     axis = family.axis
     kind = axis[0]
-    if kind == "alpha":
-        return "non_increasing"
-    if kind == "beta":
-        return "non_decreasing"
-    if kind == "q":
-        return "non_decreasing"
-    if kind == "w":
-        return "abs_non_increasing"
+    if kind in _AXIS_RULES:
+        return _AXIS_RULES[kind]
     if kind in ("inv_f", "f"):
         # N where the grid resolves: a flagged parameter (1/f_j = 0) may not
         problems = (_grid_problem(family, nu) for nu in family.grid(grid_size))
@@ -619,51 +612,22 @@ def check_monotonicity(family: Family, direction=None, grid_size: int = 65) -> M
         )
     rule = _rule_for_axis(family, grid_size)
     tr = trace(family, grid_size)
+    counts, grid = tr.counts, tr.grid
+    # constant-count stretches, split also where a detected singular
+    # parameter lies strictly inside a grid interval
+    cut = counts[1:] != counts[:-1]
+    for ev in tr.events:
+        cut |= (grid[:-1] < ev.nu) & (ev.nu < grid[1:])
+    bounds = [0, *(np.flatnonzero(cut) + 1).tolist(), len(grid)]
+    runs = [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if counts[lo] > 0 and hi - lo >= 2]
     violations: list[MonotonicityViolation] = []
-    # constant-count stretches, additionally split at detected singular
-    # parameters (which need not sit on the grid)
-    event_nus = [ev.nu for ev in tr.events]
-
-    def crosses_event(i):
-        return any(tr.grid[i] < nu < tr.grid[i + 1] for nu in event_nus)
-
-    runs: list[tuple] = []
-    start = 0
-    for i in range(1, grid_size + 1):
-        if (
-            i == grid_size
-            or tr.counts[i] != tr.counts[start]
-            or crosses_event(i - 1)
-        ):
-            if tr.counts[start] > 0 and i - start >= 2:
-                runs.append((start, i))
-            start = i
     for lo, hi in runs:
-        k = int(tr.counts[lo])
-        for n in range(k):
-            seq = tr.values[n, lo:hi]
-            for i in range(len(seq) - 1):
-                x0, x1 = float(seq[i]), float(seq[i + 1])
-                slack = 1e-9 * (1.0 + max(abs(x0), abs(x1)))
-                if rule == "non_decreasing":
-                    excess = x0 - x1 - slack
-                elif rule == "non_increasing":
-                    excess = x1 - x0 - slack
-                elif rule == "abs_non_increasing":
-                    excess = abs(x1) - abs(x0) - slack
-                else:  # constant
-                    excess = abs(x1 - x0) - 1e-12 * (1.0 + max(abs(x0), abs(x1)))
-                if excess > 0.0:
-                    violations.append(
-                        MonotonicityViolation(
-                            n,
-                            float(tr.grid[lo + i]),
-                            float(tr.grid[lo + i + 1]),
-                            x0,
-                            x1,
-                            excess,
-                        )
-                    )
+        seq = tr.values[: counts[lo], lo:hi]
+        x0, x1 = seq[:, :-1], seq[:, 1:]
+        excess = _EXCESS[rule](x0, x1, 1.0 + np.maximum(np.abs(x0), np.abs(x1)))
+        n, i = np.nonzero(excess > 0.0)  # in (branch, grid index) order
+        found = (n, grid[lo + i], grid[lo + i + 1], x0[n, i], x1[n, i], excess[n, i])
+        violations += starmap(MonotonicityViolation, zip(*(a.tolist() for a in found)))
     return MonotonicityReport(rule, grid_size, tuple(runs), tuple(violations))
 
 

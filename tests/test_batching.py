@@ -9,7 +9,7 @@ import pytest
 
 import slpkit as sk
 from slpkit import fixtures, spectra, tracing
-from slpkit.errors import DegreeMismatch, NonRealRoot
+from slpkit.errors import DegreeMismatch, IllConditioned, NonRealRoot
 from slpkit.fixtures import builtin_family, free_equation
 from slpkit.oracles import pencil_eigenvalues_separated
 from slpkit.tolerances import TOL
@@ -106,6 +106,28 @@ def test_eigenvalues_many_returns_what_eigenvalues_raises():
     got, want = np.array(results[2].values()), pencil_eigenvalues_separated(*separated)
     assert len(got) == 32 and np.all(np.isfinite(got))
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+def test_recursion_overflow_stays_in_its_slot():
+    """A problem whose fundamental-solution recursion leaves the
+    floating-point range gets IllConditioned in its own slot; its stack
+    mates of the same lattice length keep the bits of a solo solve."""
+    rng = np.random.default_rng(10)
+    bc = sk.separated_matrix(0.3, 1.1)
+    f, q, w = rng.uniform(0.5, 2.0, 11), rng.uniform(-1.0, 1.0, 10), rng.uniform(0.5, 2.0, 10)
+    benign = sk.Problem(sk.validate_equation(f, q, w), bc)
+    overflow = sk.Problem(sk.validate_equation([1.0] * 11, [0.0] * 10, [1e40] * 10), bc)
+    solo = sk.eigenvalues(benign)
+    with pytest.raises(IllConditioned):
+        sk.eigenvalues(overflow)
+    results = eigenvalues_many([benign, overflow, benign])
+    assert type(results[1]) is IllConditioned
+    for got in (results[0], results[2]):
+        assert got.eigenvalues == solo.eigenvalues
+        assert _bits(np.array(got.values())).tolist() == _bits(np.array(solo.values())).tolist()
+        assert (got.predicted_count, got.r, got.theta, got.near_singular) == (
+            solo.predicted_count, solo.r, solo.theta, solo.near_singular
+        )
 
 
 # -- the solves after the grid: refined candidates, a jump's limit and sides --

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,23 @@ class TestSpectrumCommand:
         assert main(["spectrum", "-i", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "RankDeficient"
+
+    def test_recursion_overflow_exits_2_without_traceback(self, tmp_path, capsys):
+        # w = 1e40 takes the fundamental-solution recursion past 2^1024 within
+        # its first 8 steps, before any rescale
+        obj = {
+            "equation": {"f": [1.0] * 11, "q": [0.0] * 10, "w": [1e40] * 10},
+            "bc": {"separated": {"alpha": 0.3, "beta": 1.1}},
+        }
+        path = write(tmp_path / "p.json", obj)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["spectrum", "-i", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "IllConditioned"
+        assert "Traceback" not in captured.err
 
     def test_output_file(self, tmp_path):
         path = write(tmp_path / "p.json", ex31_problem_json(2.0))

@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slpkit as sk
 from slpkit import tracing
+from slpkit.charts import CHART_IDS
 from slpkit.errors import FamilyNotAxisAligned
 from slpkit.fixtures import builtin_family, free_equation
 
@@ -251,6 +254,35 @@ class TestMonotonicity:
         with pytest.raises(FamilyNotAxisAligned):
             sk.check_monotonicity(fam, ("q", 2))
 
+    def test_violations_of_a_contradicted_axis(self):
+        # q_2 = -nu while the left angle sweeps as in ex1.1: both eigenvalues
+        # fall, against the declared ("q", 2) axis; the singular angle
+        # 3*pi/4 lies strictly between two grid points
+        def resolve(nu):
+            eq = sk.validate_equation([1.0, 1.0, 1.0], [0.0, -nu], [1.0, 1.0])
+            return sk.Problem(eq, sk.fixtures.ex11_bc(nu))
+
+        fam = sk.Family("axis", (2.0, 2.7), resolve, axis=("q", 2))
+        report = sk.check_monotonicity(fam, ("q", 2), grid_size=64)
+        tr = sk.trace(fam, 64)
+        assert report.rule == "non_decreasing" and not report.ok
+        split = int(np.searchsorted(tr.grid, 0.75 * math.pi))
+        assert tr.grid[split - 1] < 0.75 * math.pi < tr.grid[split]
+        assert set(tr.counts.tolist()) == {2}  # the count never drops on the grid
+        assert report.runs == ((0, split), (split, 64))
+        assert all(type(end) is int for run in report.runs for end in run)
+        # every step of both branches, except the one across the event, in
+        # (run, branch, grid index) order
+        steps = [(n, i) for lo, hi in report.runs for n in range(2) for i in range(lo, hi - 1)]
+        assert len(report.violations) == len(steps) == 124
+        for v, (n, i) in zip(report.violations, steps):
+            x0, x1 = tr.values[n, i], tr.values[n, i + 1]
+            assert (v.index, v.nu_left, v.nu_right) == (n, tr.grid[i], tr.grid[i + 1])
+            assert (v.value_left, v.value_right) == (x0, x1)
+            assert v.excess == x0 - x1 - 1e-9 * (1.0 + max(abs(x0), abs(x1)))
+            assert v.excess > 0.0
+            assert [type(x) for x in dataclasses.astuple(v)] == [int] + [float] * 5
+
     def test_complex_chart_axis_has_no_rule(self):
         eq = free_equation()
         fam = sk.chart_axis_family(eq, "O14", (0.0, 0.4, -0.3, 0.2), 1, -1.0, 1.0)
@@ -368,3 +400,248 @@ class TestAsymptoticFixture:
     def test_one_fixture_quickly(self):
         report = sk.verify_asymptotic_theorem("chart-i4-crossing")
         assert report.passed
+
+
+# -- the grid scans against the per-point loops that they replaced -------------
+
+
+def _loop_count_drops(grid, counts):
+    """The count-drop scan of ``trace`` as the per-point loop that
+    ``tracing._count_drops`` replaced, kept as its reference."""
+    grid_size = len(grid)
+    candidates = []
+
+    def neighbor_counts(i):
+        left = counts[i - 1] if i > 0 else None
+        right = counts[i + 1] if i + 1 < grid_size else None
+        return left, right
+
+    # count drops sitting exactly on a grid point
+    for i in range(grid_size):
+        if counts[i] < 0:
+            lo = grid[i - 1] if i > 0 else grid[i]
+            hi = grid[i + 1] if i + 1 < grid_size else grid[i]
+            cl, cr = neighbor_counts(i)
+            candidates.append(
+                sk.SingularEvent(float(grid[i]), (float(lo), float(hi)), "degenerate", None, cl, cr)
+            )
+            continue
+        cl, cr = neighbor_counts(i)
+        defined = [c for c in (cl, cr) if c is not None and c >= 0]
+        if defined and counts[i] < max(defined):
+            candidates.append(
+                sk.SingularEvent(float(grid[i]), (float(grid[i]), float(grid[i])), "grid", int(counts[i]), cl, cr)
+            )
+    return candidates
+
+
+def _loop_grid_flags(chart, fields):
+    """The crossing, dip and cone detectors of ``trace`` on one chart's
+    fields, as the per-point loops that ``tracing._grid_flags`` replaced,
+    kept as its reference."""
+    grid_size = len(fields["residual"])
+    flags = []
+    res, tols = fields["residual"], fields["tol"]
+    live = ~np.isnan(res)
+    on_set = live & (np.abs(res) <= tols)
+    # transversal crossings: a genuine sign change between two points
+    # solidly off the set
+    for i in range(grid_size - 1):
+        if not (live[i] and live[i + 1]):
+            continue
+        if on_set[i] or on_set[i + 1]:
+            continue
+        if (res[i] > 0) != (res[i + 1] > 0):
+            flags.append((i, i + 1, "crossing", chart, "residual", res[i], res[i + 1]))
+    # tangential touches, which never change sign: interior dips of
+    # |residual|
+    for i in range(1, grid_size - 1):
+        if not (live[i - 1] and live[i] and live[i + 1]):
+            continue
+        if on_set[i - 1] or on_set[i + 1]:
+            continue
+        trio = np.abs(res[i - 1 : i + 2])
+        # a symmetric touch can split its dip over two equal grid
+        # values; break the tie toward the left point
+        if trio[1] < trio[0] and trio[1] <= trio[2]:
+            flags.append((i - 1, i + 1, "dip", chart, "residual", trio[0], trio[2]))
+    # stretches inside a rank-one set: a double degeneracy announces
+    # itself by a sign change of a cone coordinate
+    if chart not in ("O13", "O23"):
+        return flags
+    for coord, coord_tol in (("p", "p_tol"), ("r2", "r2_tol")):
+        cone, cone_tol = fields[coord], fields[coord_tol]
+        for i in range(grid_size - 1):
+            if not (on_set[i] and on_set[i + 1]):
+                continue
+            vi, vj = cone[i], cone[i + 1]
+            if abs(vi) <= cone_tol[i] or abs(vj) <= cone_tol[i + 1]:
+                continue
+            if (vi > 0) != (vj > 0):
+                flags.append((i, i + 1, "cone", chart, coord, vi, vj))
+    return flags
+
+
+def _typed(items):
+    """The repr of every flag or event with the types of its parts: equal
+    scans agree in numpy and Python scalar types too."""
+    parts = [dataclasses.astuple(x) if dataclasses.is_dataclass(x) else x for x in items]
+    return [(repr(x), [type(part) for part in p]) for x, p in zip(items, parts)]
+
+
+# |residual| <= tol = 1e-9 lies on the set; repeated moduli make exact dip ties
+_RESIDUALS = (-2.0, -1.0, -0.5, -1e-12, 0.0, 1e-12, 0.5, 1.0, 2.0, math.nan)
+_CONES = (-1.0, -1e-12, 0.0, 1e-12, 1.0, math.nan)
+_FIELD_VALUES = {
+    "residual": _RESIDUALS, "tol": (1e-9, 1e-9, 0.6), "p": _CONES, "p_tol": (1e-9, 0.6),
+    "r2": _CONES, "r2_tol": (1e-9,),
+}
+
+
+@st.composite
+def _chart_fields(draw):
+    """A chart and its test fields over a grid, with a stretch where the
+    family is unresolvable (every field NaN) besides the NaN residuals
+    where the chart alone leaves a point out."""
+    n = draw(st.integers(3, 40))
+    fields = {
+        name: np.array(draw(st.lists(st.sampled_from(values), min_size=n, max_size=n)))
+        for name, values in _FIELD_VALUES.items()
+    }
+    start, length = draw(st.integers(0, n - 1)), draw(st.integers(0, 5))
+    for column in fields.values():
+        column[start : start + length] = np.nan
+    return draw(st.sampled_from(CHART_IDS)), fields
+
+
+def _edge_case_fields():
+    """In the O13 chart: a dip tie, an on-set run whose p changes sign and
+    whose r2 runs from positive to NaN (not positive, and clear of its
+    tolerance), a NaN stretch, a crossing, and a dip whose middle lies on
+    the set."""
+    nan = math.nan
+    fields = {
+        "residual": [1.0, 0.5, 0.5, 1.0, 0.0, 1e-12, nan, nan, 2.0, -1.0, 0.0, -1.0],
+        "p": [1.0, 1.0, 1.0, 1.0, 1.0, -1.0, nan, nan, 1.0, 1.0, 1.0, 1.0],
+        "r2": [1.0, 1.0, 1.0, 1.0, 1.0, nan, nan, nan, 1.0, 1.0, 1.0, 1.0],
+    }
+    fields = {name: np.array(column) for name, column in fields.items()}
+    for name in ("tol", "p_tol", "r2_tol"):
+        fields[name] = np.full(12, 1e-9)
+    return "O13", fields
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_chart_fields())
+@example(case=_edge_case_fields())
+def test_grid_flags_equal_the_per_point_loops(case):
+    chart, fields = case
+    assert _typed(tracing._grid_flags(chart, fields)) == _typed(_loop_grid_flags(chart, fields))
+
+
+def test_edge_case_flags():
+    flags = tracing._grid_flags(*_edge_case_fields())
+    assert [flag[:3] for flag in flags] == [
+        (8, 9, "crossing"), (0, 2, "dip"), (9, 11, "dip"), (4, 5, "cone"), (4, 5, "cone"),
+    ]
+    assert [flag[4] for flag in flags[3:]] == ["p", "r2"]
+    assert flags[2][5:] == (1.0, 1.0)  # the moduli at the dip's ends
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    counts=st.lists(st.sampled_from((-1, 0, 1, 2, 3)), min_size=1, max_size=40),
+    undefined_edges=st.booleans(),
+)
+@example(counts=[2, 1, 2, -1, 3, 3, 0], undefined_edges=True)
+def test_count_drops_equal_the_per_point_loop(counts, undefined_edges):
+    if undefined_edges:
+        counts = [-1] + counts + [-1]
+    counts = np.array(counts)
+    grid = np.linspace(0.0, 1.0, len(counts))
+    assert _typed(tracing._count_drops(grid, counts)) == _typed(_loop_count_drops(grid, counts))
+
+
+def _loop_monotonicity(tr, rule, grid_size):
+    """The run split and the excess loop of ``check_monotonicity`` as the
+    per-point loops that the array version replaced, kept as its
+    reference: the runs and the violations."""
+    violations = []
+    # constant-count stretches, additionally split at detected singular
+    # parameters (which need not sit on the grid)
+    event_nus = [ev.nu for ev in tr.events]
+
+    def crosses_event(i):
+        return any(tr.grid[i] < nu < tr.grid[i + 1] for nu in event_nus)
+
+    runs = []
+    start = 0
+    for i in range(1, grid_size + 1):
+        if (
+            i == grid_size
+            or tr.counts[i] != tr.counts[start]
+            or crosses_event(i - 1)
+        ):
+            if tr.counts[start] > 0 and i - start >= 2:
+                runs.append((start, i))
+            start = i
+    for lo, hi in runs:
+        k = int(tr.counts[lo])
+        for n in range(k):
+            seq = tr.values[n, lo:hi]
+            for i in range(len(seq) - 1):
+                x0, x1 = float(seq[i]), float(seq[i + 1])
+                slack = 1e-9 * (1.0 + max(abs(x0), abs(x1)))
+                if rule == "non_decreasing":
+                    excess = x0 - x1 - slack
+                elif rule == "non_increasing":
+                    excess = x1 - x0 - slack
+                elif rule == "abs_non_increasing":
+                    excess = abs(x1) - abs(x0) - slack
+                else:  # constant
+                    excess = abs(x1 - x0) - 1e-12 * (1.0 + max(abs(x0), abs(x1)))
+                if excess > 0.0:
+                    violations.append(
+                        tracing.MonotonicityViolation(
+                            n,
+                            float(tr.grid[lo + i]),
+                            float(tr.grid[lo + i + 1]),
+                            x0,
+                            x1,
+                            excess,
+                        )
+                    )
+    return tuple(runs), tuple(violations)
+
+
+# steps within and just beyond each rule's slack, and sign flips for the
+# magnitude rule
+_BRANCH_VALUES = (-1.0, -0.5, 0.0, 0.5, 1.0, 1.0 + 1e-13, 1.0 + 1e-10, 1.0 + 1e-8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_monotonicity_runs_and_excess_equal_the_per_point_loops(data):
+    n = data.draw(st.integers(2, 30))
+    counts = np.array(data.draw(st.lists(st.sampled_from((-1, 0, 1, 2)), min_size=n, max_size=n)))
+    values = np.full((2, n), np.nan)
+    for i, count in enumerate(counts.tolist()):
+        values[: max(count, 0), i] = data.draw(
+            st.lists(st.sampled_from(_BRANCH_VALUES), min_size=max(count, 0), max_size=max(count, 0))
+        )
+    grid = np.linspace(0.0, 1.0, n)
+    # on the grid, strictly inside an interval, or outside the domain
+    places = np.concatenate([grid, 0.5 * (grid[:-1] + grid[1:]), [-1.0, 2.0]]).tolist()
+    nus = data.draw(st.lists(st.sampled_from(places), max_size=4))
+    events = [sk.SingularEvent(nu, (nu, nu), "grid", 1, None, None) for nu in nus]
+    rule = data.draw(st.sampled_from(("non_decreasing", "non_increasing", "abs_non_increasing", "constant")))
+    tr = tracing.BranchTrace(None, grid, values, counts, counts < 0, events)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tracing, "trace", lambda family, grid_size: tr)
+        patch.setattr(tracing, "_rule_for_axis", lambda family, grid_size: rule)
+        family = sk.Family("axis", (0.0, 1.0), None, axis=("q", 1))
+        report = tracing.check_monotonicity(family, grid_size=n)
+    runs, violations = _loop_monotonicity(tr, rule, n)
+    assert (report.rule, report.runs) == (rule, runs)
+    assert [[type(end) for end in run] for run in report.runs] == [[int, int]] * len(runs)
+    assert _typed(report.violations) == _typed(violations)
